@@ -3,7 +3,8 @@
 #
 #   build     - dune build @all
 #   test      - test suites (twice: as-is and with XNF_CHECK validators
-#               forced on) + the sys.*/slow-query observability gate
+#               forced on) + the sys.*/slow-query observability gate +
+#               the shared-database example smoke
 #   lint      - statement-corpus lint + advisor pass + PLAN300 gate
 #   fuzz      - differential fuzzing, corpus replay, mutation smoke
 #   crash     - crash-point oracle, durability defect smoke, kill -9 gate
@@ -67,6 +68,20 @@ stage_test() {
     echo "obs gate (inverted threshold): expected empty slow log, got '$slow_count'"; cat "$OBS_OUT"; exit 1
   fi
   rm -f "$OBS_SCRIPT" "$OBS_OUT"
+
+  echo "== example smoke (shared database) =="
+  # the shared-database example must show the cached CO reloading after
+  # the SQL application's insert, and the optimistic-validation conflict
+  # that tells the CO application to refetch
+  EX_OUT=/tmp/shared_db_$$.out
+  dune exec examples/shared_database.exe > "$EX_OUT"
+  if ! grep -q 'now sees 4 employees (reloads: 1)' "$EX_OUT"; then
+    echo "example smoke: no reload after the SQL insert"; cat "$EX_OUT"; exit 1
+  fi
+  if ! grep -q 'told to refetch' "$EX_OUT"; then
+    echo "example smoke: write/write conflict not reported"; cat "$EX_OUT"; exit 1
+  fi
+  rm -f "$EX_OUT"
 }
 
 stage_lint() {

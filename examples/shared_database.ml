@@ -4,8 +4,8 @@
 
    One relational database; a traditional SQL application and an XNF
    composite-object application working on it side by side. Shows: both see
-   each other's changes, materialized COs refresh when the SQL side writes,
-   and optimistic validation catches a write/write conflict so the CO
+   each other's changes, a cached CO result reloads when the SQL side
+   writes, and optimistic validation catches a write/write conflict so the CO
    application refetches instead of clobbering. *)
 
 open Relational
@@ -26,22 +26,26 @@ let () =
     (Xnf.Api.exec api
        "CREATE VIEW ORG AS OUT OF Xdept AS DEPT, Xemp AS EMP, \
         employment AS (RELATE Xdept, Xemp WHERE Xdept.dno = Xemp.edno) TAKE *");
-  let mat = Xnf.Materialized.create db (Xnf.Api.registry api) in
-  Xnf.Materialized.define_string mat ~name:"org" "OUT OF ORG TAKE *";
+  (* fetch results are cached and served while their base tables are
+     unchanged *)
+  Xnf.Api.set_result_cache api 4;
+  let org = "OUT OF ORG TAKE *" in
+  let misses () = Obs.Metrics.counter_get "xnf.fetchcache.misses" in
 
   Fmt.pr "== both applications read the same data ==@.";
-  let cache = Xnf.Materialized.get mat "org" in
+  let cache = Xnf.Api.fetch_string api org in
   Fmt.pr "XNF application sees %d employees@."
     (Xnf.Cache.live_count (Xnf.Cache.node cache "xemp"));
   Fmt.pr "SQL application sees  %s employees@."
     (Value.to_string (List.hd (Db.rows_of db "SELECT COUNT(*) FROM emp")).(0));
 
-  Fmt.pr "@.== the SQL application hires someone; the materialized CO notices ==@.";
+  Fmt.pr "@.== the SQL application hires someone; the cached CO notices ==@.";
   ignore (Db.exec db "INSERT INTO emp VALUES (13, 'dave', 800, 2)");
-  let cache = Xnf.Materialized.get mat "org" in
+  let m0 = misses () in
+  let cache = Xnf.Api.fetch_string api org in
   Fmt.pr "XNF application now sees %d employees (reloads: %d)@."
     (Xnf.Cache.live_count (Xnf.Cache.node cache "xemp"))
-    (fst (Xnf.Materialized.stats mat "org"));
+    (misses () - m0);
 
   Fmt.pr "@.== the XNF application raises alice; SQL sees it at once ==@.";
   let ses = Xnf.Api.session api cache in
@@ -56,7 +60,7 @@ let () =
     (Value.to_string (List.hd (Db.rows_of db "SELECT sal FROM emp WHERE eno = 10")).(0));
 
   Fmt.pr "@.== a write/write conflict is caught, not clobbered ==@.";
-  let stale_cache = Xnf.Api.fetch_string api "OUT OF ORG TAKE *" in
+  let stale_cache = Xnf.Api.fetch_string api org in
   let stale_ses = Xnf.Api.session api stale_cache in
   (* meanwhile the SQL application gives bob a raise *)
   ignore (Db.exec db "UPDATE emp SET sal = 950 WHERE eno = 11");
@@ -65,7 +69,7 @@ let () =
      Fmt.pr "!! conflict missed@."
    with Xnf.Udi.Udi_error msg -> Fmt.pr "XNF application told to refetch: %s@." msg);
   (* the recovery path: refetch and reapply *)
-  let fresh = Xnf.Api.fetch_string api "OUT OF ORG TAKE *" in
+  let fresh = Xnf.Api.fetch_string api org in
   let ses2 = Xnf.Api.session api fresh in
   let bob =
     List.find

@@ -8,7 +8,7 @@
    tuples of the associated children".
 
    The naive-fixpoint ablation for recursive COs lives in the main
-   translator ({!Xnf.Translate.fetch} with [~fixpoint:Naive]); this module
+   translator ({!Xnf.Api.fetch} with [~fixpoint:Naive]); this module
    covers the sharing dimension, which only type-checks on DAG schemas
    (inlining diverges on cycles). *)
 

@@ -44,7 +44,7 @@ type t = {
     (Db.t -> Fetch_plan.t -> Cache.t -> (Diag.t * string option * string option) list) option;
       (** injected by the check layer ([Check.Plan_advisor.install]): Api
           cannot depend on [check], so the estimate-vs-actual drift
-          detector arrives as a hook fired after plan-executed fetches *)
+          detector arrives as a hook fired after every executed fetch *)
   mutable xnf_log : string list;
       (** re-parsable XNF view-DDL statements, newest first: the session's
           durable history, logged to the WAL as [R_ext] records and
@@ -215,11 +215,10 @@ let advisories api = api.advisories
 let clear_advisories api = api.advisories <- []
 
 (** [set_drift_advisor api f] installs (or, with [None], removes) the
-    estimate-vs-actual drift detector. While installed, every
-    plan-executed fetch runs [f db plan cache] afterwards and logs its
-    findings with source ["drift"]; fetches route through a compiled plan
-    even with the plan cache disabled so a plan is always in hand.
-    Detector exceptions are swallowed — advice must never break a fetch. *)
+    estimate-vs-actual drift detector. While installed, every executed
+    fetch runs [f db plan cache] afterwards and logs its findings with
+    source ["drift"]. Detector exceptions are swallowed — advice must
+    never break a fetch. *)
 let set_drift_advisor api f = api.drift_advisor <- f
 
 let record_drift api plan cache =
@@ -365,50 +364,12 @@ let pc_store api key plan : Fetch_plan.t =
   end;
   plan
 
-(* compile [q] through the plan cache (a miss compiles and stores) *)
-let plan_for ?key api q : Fetch_plan.t =
-  let key = match key with Some k -> k | None -> Xnf_ast.query_to_string q in
-  match pc_lookup api key with
-  | Some plan -> plan
-  | None ->
-    if api.pc_cap > 0 then Obs.Metrics.incr m_pc_misses;
-    pc_store api key (Fetch_plan.compile api.db api.reg q)
-
 (** [plans api] lists the cached plans, most recently used first. *)
 let plans api = api.pc
 
 (** [prepared_plans api] lists PREPARE'd plans, sorted by name. *)
 let prepared_plans api =
   List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) api.prepared [])
-
-let count_fetch api =
-  api.fetch_count <- api.fetch_count + 1;
-  Obs.Metrics.incr m_fetches
-
-(* the unrecorded fetch: internal callers ([exec], CO update/delete,
-   EXPLAIN ANALYZE) record at their own statement granularity *)
-let fetch_raw ?fixpoint api q =
-  count_fetch api;
-  match api.drift_advisor with
-  | None ->
-    if api.pc_cap = 0 then Translate.fetch ?fixpoint api.db api.reg q
-    else Fetch_plan.execute ?fixpoint api.db (plan_for api q)
-  | Some _ ->
-    (* drift-instrumented: always go through a compiled plan so the
-       detector has estimates to compare against *)
-    let plan = plan_for api q in
-    let cache = Fetch_plan.execute ?fixpoint api.db plan in
-    record_drift api plan cache;
-    cache
-
-(** [fetch ?fixpoint api q] evaluates a parsed XNF query into a cache
-    (through the plan cache when enabled); the execution is folded into
-    the per-statement statistics. *)
-let fetch ?fixpoint api q =
-  recording (Xnf_ast.query_to_string q)
-    ~kind_of:(fun _ -> "xnf")
-    ~rows_of:Cache.total_tuples
-    (fun () -> fetch_raw ?fixpoint api q)
 
 (** [set_result_cache api n] enables an LRU cache of the last [n] fetch
     results, keyed by query text and validated against base-table
@@ -422,7 +383,8 @@ let set_result_cache api n =
 let invalidate_result_cache api = api.rc <- []
 
 (* result-cache lookup: a hit is a cached, still-fresh cache for the same
-   (trimmed) query text; stale or absent entries count as misses *)
+   (trimmed) query text. A stale entry — a base table moved, or the cache
+   holds unsaved deferred Udi edits — is dropped and counts as a miss. *)
 let rc_lookup api key : Cache.t option =
   if api.rc_cap = 0 then None
   else begin
@@ -433,6 +395,7 @@ let rc_lookup api key : Cache.t option =
       Some cache
     | _ ->
       Obs.Metrics.incr m_rc_misses;
+      api.rc <- List.remove_assoc key api.rc;
       None
   end
 
@@ -450,41 +413,83 @@ let rc_store api key cache : Cache.t =
   end;
   cache
 
-let fetch_cached_parsed ?fixpoint api key q =
-  match rc_lookup api key with
+(* ---- the fetch pipeline ----
+
+   Every XNF fetch runs through [pipeline]: the result cache (consulted
+   only when the caller passes a key), then plan resolution, then
+   execution and drift detection. Entry points differ only in the
+   result-cache key, the plan source and the parameters. *)
+
+(* where a fetch's plan comes from *)
+type source =
+  | Text of string * Xnf_ast.query Lazy.t
+      (** plan-cache key and the query, parsed only on a plan-cache miss *)
+  | Named of string  (** a PREPARE'd plan *)
+  | Plan of Fetch_plan.t  (** already resolved *)
+
+(* a parsed query, plan-cached under its canonical text *)
+let parsed q = Text (Xnf_ast.query_to_string q, Lazy.from_val q)
+
+let resolve api = function
+  | Text (key, q) -> begin
+    match pc_lookup api key with
+    | Some plan -> plan
+    | None ->
+      if api.pc_cap > 0 then Obs.Metrics.incr m_pc_misses;
+      pc_store api key (Fetch_plan.compile api.db api.reg (Lazy.force q))
+  end
+  | Named name -> begin
+    (* a plan invalidated by DDL since PREPARE is transparently recompiled *)
+    let key = String.lowercase_ascii name in
+    match Hashtbl.find_opt api.prepared key with
+    | None -> err "unknown prepared statement %s" name
+    | Some plan when Fetch_plan.valid api.db api.reg plan ->
+      Obs.Metrics.incr m_pc_hits;
+      Fetch_plan.note_hit plan;
+      plan
+    | Some plan ->
+      Obs.Metrics.incr m_pc_invalidations;
+      let p = Fetch_plan.compile api.db api.reg (Fetch_plan.query plan) in
+      Hashtbl.replace api.prepared key p;
+      p
+  end
+  | Plan plan -> plan
+
+let count_fetch api =
+  api.fetch_count <- api.fetch_count + 1;
+  Obs.Metrics.incr m_fetches
+
+let pipeline ?rc_key ?fixpoint ?params api source : Cache.t =
+  match Option.bind rc_key (rc_lookup api) with
   | Some cache -> cache
-  | None -> rc_store api key (fetch_raw ?fixpoint api q)
+  | None -> (
+    let plan = resolve api source in
+    count_fetch api;
+    let cache =
+      try Fetch_plan.execute ?fixpoint ?params api.db plan
+      with Invalid_argument msg -> err "%s" msg
+    in
+    record_drift api plan cache;
+    match rc_key with Some key -> rc_store api key cache | None -> cache)
+
+(** [fetch ?fixpoint api q] evaluates a parsed XNF query into a cache
+    through the plan cache when enabled, never the result cache (so a
+    naive fetch neither reads nor writes it); the execution is folded into
+    the per-statement statistics. *)
+let fetch ?fixpoint api q =
+  recording (Xnf_ast.query_to_string q)
+    ~kind_of:(fun _ -> "xnf")
+    ~rows_of:Cache.total_tuples
+    (fun () -> pipeline ?fixpoint api (parsed q))
 
 (** [fetch_string api sql] parses and evaluates an [OUT OF ... TAKE]
-    query, through the result cache and the plan cache when enabled. A
-    plan-cache hit on the trimmed text skips parsing entirely. The
+    query, through the result cache and the plan cache when enabled, both
+    keyed by the trimmed text. A plan-cache hit skips parsing entirely. The
     execution is folded into the per-statement statistics. *)
-let fetch_string ?fixpoint api sql =
+let fetch_string api sql =
   recording sql ~kind_of:(fun _ -> "xnf") ~rows_of:Cache.total_tuples @@ fun () ->
   let key = String.trim sql in
-  match rc_lookup api key with
-  | Some cache -> cache
-  | None ->
-    let cache =
-      match pc_lookup api key with
-      | Some plan ->
-        count_fetch api;
-        let c = Fetch_plan.execute ?fixpoint api.db plan in
-        record_drift api plan c;
-        c
-      | None ->
-        let q = Xnf_parser.parse_query sql in
-        if api.pc_cap = 0 then fetch_raw ?fixpoint api q
-        else begin
-          Obs.Metrics.incr m_pc_misses;
-          let plan = pc_store api key (Fetch_plan.compile api.db api.reg q) in
-          count_fetch api;
-          let c = Fetch_plan.execute ?fixpoint api.db plan in
-          record_drift api plan c;
-          c
-        end
-    in
-    rc_store api key cache
+  pipeline ~rc_key:key api (Text (key, lazy (Xnf_parser.parse_query sql)))
 
 (* ---- prepared statements (PREPARE / EXECUTE) ---- *)
 
@@ -494,39 +499,17 @@ let prepare api ~name q =
   Hashtbl.replace api.prepared (String.lowercase_ascii name)
     (Fetch_plan.compile api.db api.reg q)
 
-(** [execute_prepared ?fixpoint api name vals] runs a PREPARE'd plan with
-    [vals] bound to its [?] slots in lexical order. A plan invalidated by
-    DDL since PREPARE is transparently recompiled. Parameterized results
-    never enter the text-keyed result cache. *)
-let execute_prepared ?fixpoint api name (vals : Value.t list) =
-  let key = String.lowercase_ascii name in
-  match Hashtbl.find_opt api.prepared key with
-  | None -> err "unknown prepared statement %s" name
-  | Some plan ->
-    let plan =
-      if Fetch_plan.valid api.db api.reg plan then begin
-        Obs.Metrics.incr m_pc_hits;
-        Fetch_plan.note_hit plan;
-        plan
-      end
-      else begin
-        Obs.Metrics.incr m_pc_invalidations;
-        let p = Fetch_plan.compile api.db api.reg (Fetch_plan.query plan) in
-        Hashtbl.replace api.prepared key p;
-        p
-      end
-    in
-    count_fetch api;
-    (try
-       let c = Fetch_plan.execute ?fixpoint ~params:(Array.of_list vals) api.db plan in
-       record_drift api plan c;
-       c
-     with Invalid_argument msg -> err "%s" msg)
+(** [execute_prepared api name vals] runs a PREPARE'd plan with [vals]
+    bound to its [?] slots in lexical order. A plan invalidated by DDL
+    since PREPARE is transparently recompiled. Parameterized results never
+    enter the text-keyed result cache. *)
+let execute_prepared api name (vals : Value.t list) =
+  pipeline ~params:(Array.of_list vals) api (Named name)
 
 (* CO deletion (§3.7): all component tuples of the target CO are removed
    from their base tables. Every component must be updatable. *)
 let delete_co api (q : Xnf_ast.query) =
-  let cache = fetch_raw api q in
+  let cache = pipeline api (parsed q) in
   (* validate updatability up front so we fail before deleting anything *)
   List.iter
     (fun (name, ni) ->
@@ -553,7 +536,7 @@ let delete_co api (q : Xnf_ast.query) =
    named component in the target CO, propagated through the udi layer
    (which enforces updatability and relationship-column locking). *)
 let update_co api (q : Xnf_ast.query) (cu : Xnf_ast.co_update) =
-  let cache = fetch_raw api q in
+  let cache = pipeline api (parsed q) in
   let ni = Cache.node cache cu.Xnf_ast.cu_node in
   let schema = ni.Cache.ni_schema in
   let env = Db.bind_env api.db in
@@ -590,7 +573,9 @@ let exec api text : outcome =
     ~rows_of:rows_of_outcome
   @@ fun () ->
   match Xnf_parser.parse_stmt text with
-  | Xnf_ast.X_query q -> Fetched (fetch_cached_parsed api (String.trim text) q)
+  | Xnf_ast.X_query q ->
+    let key = String.trim text in
+    Fetched (pipeline ~rc_key:key api (Text (key, Lazy.from_val q)))
   | Xnf_ast.X_create_view (name, q) ->
     View_registry.define api.reg ~name q;
     log_xnf api (Xnf_ast.X_create_view (name, q));
@@ -629,19 +614,15 @@ let exec api text : outcome =
 let explain_analyze api text =
   match Xnf_parser.parse_stmt text with
   | Xnf_ast.X_query q ->
-    (* resolve the plan (cache hit or fresh compile) and execute through
-       it directly — not [fetch_raw]'s internal compile — so adaptive
-       mid-fixpoint switches land on the plan in hand and annotate the
-       operator lines below. One enclosing span keeps compile and
-       execution under the same traced root. *)
+    (* resolve the plan first and execute that plan in hand, so adaptive
+       mid-fixpoint switches land on it and annotate the operator lines
+       below. One enclosing span keeps compile and execution under the
+       same traced root. *)
     let seq0 = api.adv_next in
     let plan, cache =
       Obs.Trace.with_span "xnf.explain" @@ fun () ->
-      let plan = plan_for api q in
-      count_fetch api;
-      let cache = Fetch_plan.execute api.db plan in
-      record_drift api plan cache;
-      (plan, cache)
+      let plan = resolve api (Text (String.trim text, Lazy.from_val q)) in
+      (plan, pipeline api (Plan plan))
     in
     let strategies = Fetch_plan.strategies plan in
     let switched = Fetch_plan.switches plan in

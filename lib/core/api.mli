@@ -31,24 +31,28 @@ val db : t -> Db.t
 (** [registry api] is the XNF view registry. *)
 val registry : t -> View_registry.t
 
-(** [fetch ?fixpoint api q] evaluates a parsed XNF query into a cache. *)
+(** [fetch ?fixpoint api q] evaluates a parsed XNF query into a cache
+    (through the plan cache when enabled, never the result cache). *)
 val fetch : ?fixpoint:Translate.fixpoint -> t -> Xnf_ast.query -> Cache.t
 
 (** [fetch_string api text] parses and evaluates an [OUT OF ... TAKE]
-    query (through the result cache when enabled). *)
-val fetch_string : ?fixpoint:Translate.fixpoint -> t -> string -> Cache.t
+    query (through the result cache and plan cache when enabled, both
+    keyed by the trimmed text; [exec] of the same text shares them). *)
+val fetch_string : t -> string -> Cache.t
 
 (** [set_result_cache api n] enables an LRU cache of the last [n] fetch
-    results, keyed by query text and validated against base-table versions
-    before reuse; [0] (the default) disables it. Hits/misses/evictions are
-    counted as [xnf.fetchcache.*] in the metrics registry. *)
+    results, keyed by query text and validated before reuse: an entry whose
+    base tables moved, or whose instance holds unsaved deferred {!Udi}
+    edits, is dropped and refetched ({!Cache.stale}). [0] (the default)
+    disables it. Hits/misses/evictions are counted as [xnf.fetchcache.*]
+    in the metrics registry. *)
 val set_result_cache : t -> int -> unit
 
 (** [set_plan_cache api n] enables an LRU cache of the last [n] compiled
     fetch plans, keyed by query text and validated against the
     view-registry version, catalog version and index epoch recorded at
-    compile time; [0] (the default) disables it. DDL invalidates lazily on
-    the next lookup. Activity is counted as [xnf.plancache.*] and
+    compile time; [0] (the default) disables it, so every fetch compiles.
+    DDL invalidates lazily on the next lookup. Activity is counted as [xnf.plancache.*] and
     compilations as [xnf.plan.compiles]. *)
 val set_plan_cache : t -> int -> unit
 
@@ -67,8 +71,7 @@ val prepare : t -> name:string -> Xnf_ast.query -> unit
     bound to its [?] parameter slots in lexical order; a plan invalidated
     by DDL since PREPARE is transparently recompiled.
     @raise Api_error on unknown names or parameter-count mismatches. *)
-val execute_prepared :
-  ?fixpoint:Translate.fixpoint -> t -> string -> Value.t list -> Cache.t
+val execute_prepared : t -> string -> Value.t list -> Cache.t
 
 (** [explain_analyze api text] runs [text] — an XNF [OUT OF ... TAKE]
     query or a SQL SELECT — under the instrumented executor and returns a
@@ -116,11 +119,10 @@ val advisories : t -> advisory list
 val clear_advisories : t -> unit
 
 (** [set_drift_advisor api f] installs (or removes, with [None]) the
-    drift detector: while installed, every plan-executed fetch runs [f db
-    plan cache] afterwards and logs its findings with source ["drift"]
-    (fetches route through compiled plans even with the plan cache
-    disabled). Detector exceptions are swallowed — advice must never
-    break a fetch. *)
+    drift detector: while installed, every executed fetch runs [f db plan
+    cache] afterwards and logs its findings with source ["drift"].
+    Detector exceptions are swallowed — advice must never break a
+    fetch. *)
 val set_drift_advisor :
   t ->
   (Relational.Db.t -> Fetch_plan.t -> Cache.t -> (Diag.t * string option * string option) list)

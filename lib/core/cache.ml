@@ -88,6 +88,7 @@ type t = {
   c_nodes : (string * node_inst) list;  (** in definition order *)
   c_edges : (string * edge_inst) list;
   mutable c_base_versions : (string * int) list;  (** staleness detection *)
+  mutable c_unsaved : bool;  (** holds deferred {!Udi} edits not yet saved *)
 }
 
 exception Cache_error of string
@@ -440,10 +441,12 @@ let recompute_reachability cache =
 
 (** [stale cache db] holds when any base table changed since the cache was
     loaded (other than through this cache's own propagation — callers that
-    propagate refresh the recorded versions). *)
+    propagate refresh the recorded versions), or when the cache holds
+    unsaved deferred edits, so it no longer mirrors the base data. *)
 let stale cache db =
   Obs.Metrics.incr m_stale_checks;
-  List.exists
+  cache.c_unsaved
+  || List.exists
     (fun (name, v) ->
       match Catalog.table_opt (Db.catalog db) name with
       | Some t -> Table.version t <> v

@@ -69,6 +69,7 @@ type t = {
   c_nodes : (string * node_inst) list;  (** in definition order *)
   c_edges : (string * edge_inst) list;
   mutable c_base_versions : (string * int) list;  (** staleness detection *)
+  mutable c_unsaved : bool;  (** holds deferred {!Udi} edits not yet saved *)
 }
 
 exception Cache_error of string
@@ -170,7 +171,8 @@ val pos_of_rowid : node_inst -> int -> int
 val recompute_reachability : t -> unit
 
 (** [stale cache db] holds when any base table changed since the cache was
-    loaded, other than through this cache's own propagation. *)
+    loaded, other than through this cache's own propagation, or when the
+    cache holds unsaved deferred edits ([c_unsaved]). *)
 val stale : t -> Db.t -> bool
 
 (** A snapshot lookup structure over one cached node: column value ->

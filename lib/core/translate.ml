@@ -9,7 +9,7 @@
        round probe each outgoing relationship. DAG schemas converge in one
        topological sweep; recursive schemas iterate. The naive variant
        (re-probing from full reached sets, E6 ablation) is selectable
-       through [`Naive`];
+       through [`Naive`] and keeps only its last round's connections;
      - each probe is *access-path selected*, like the plan optimizer does
        for parent/child joins ("in the plan optimizer handling of joins is
        heavily used since parent child relationships are computed by
@@ -23,8 +23,8 @@
      - non-root extents are therefore *lazy*: only reached tuples are ever
        materialized, which is what makes working-set extraction at 10^-4
        selectivity set-oriented AND cheap (E3);
-     - connection extents are computed per relationship after reachability,
-       with the same access-path choice.
+     - connection extents are produced by the same probes that establish
+       reachability, so no second join runs after the fixpoint.
 
    All generic queries are QGM trees executed through the relational
    engine, so query rewrite (predicate pushdown -> hash joins) and plan
@@ -884,16 +884,9 @@ let edge_tree db (ed : Co_schema.edge_def) ~parent_temp ~child_temp =
   let pred = Binder.bind_expr (Db.bind_env db) schema ed.Co_schema.ed_pred in
   (Qgm.Select { input = tree; pred }, schema)
 
-let probe_edge_generic db (ed : Co_schema.edge_def) ~parent_temp ~child_temp : int list =
-  let tree, schema = edge_tree db ed ~parent_temp ~child_temp in
-  let c_tid = Schema.find schema ~qualifier:ed.Co_schema.ed_child_alias "__tid" in
-  let qgm = Qgm.Project { input = tree; cols = [ (Expr.Col c_tid, tid_column) ] } in
-  run_query db qgm |> Seq.map (fun row -> Value.as_int row.(0)) |> List.of_seq
-
-(* fused form of the per-round generic probe: one query yields the reached
-   child tids AND the connection payload (parent tid, child tid,
-   relationship attributes), so no second full join is needed after the
-   fixpoint *)
+(* the per-round generic probe: one query yields the reached child tids
+   AND the connection payload (parent tid, child tid, relationship
+   attributes), so no second full join is needed after the fixpoint *)
 let probe_edge_generic_fused db (ed : Co_schema.edge_def) ~parent_temp ~child_temp :
     (int * int * Row.t) list =
   let tree, schema = edge_tree db ed ~parent_temp ~child_temp in
@@ -914,31 +907,6 @@ let probe_edge_generic_fused db (ed : Co_schema.edge_def) ~parent_temp ~child_te
   |> Seq.map (fun row ->
          (Value.as_int row.(0), Value.as_int row.(1), Array.sub row 2 (Array.length row - 2)))
   |> List.of_seq
-
-let connections_generic db (ed : Co_schema.edge_def) ~parent_temp ~child_temp :
-    Schema.t * (int * int * Row.t) list =
-  let tree, schema = edge_tree db ed ~parent_temp ~child_temp in
-  let p_tid = Schema.find schema ~qualifier:ed.Co_schema.ed_parent_alias "__tid" in
-  let c_tid = Schema.find schema ~qualifier:ed.Co_schema.ed_child_alias "__tid" in
-  let env = Db.bind_env db in
-  let attr_cols =
-    List.map
-      (fun (e, name) ->
-        let bound = Binder.bind_expr env schema e in
-        let ty = Binder.infer_ty env schema bound in
-        (bound, Schema.column name ty))
-      ed.Co_schema.ed_attrs
-  in
-  let cols = (Expr.Col p_tid, tid_column) :: (Expr.Col c_tid, tid_column) :: attr_cols in
-  let qgm = Qgm.Project { input = tree; cols } in
-  let attr_schema = Schema.make (List.map snd attr_cols) in
-  let conns =
-    run_query db qgm
-    |> Seq.map (fun row ->
-           (Value.as_int row.(0), Value.as_int row.(1), Array.sub row 2 (Array.length row - 2)))
-    |> List.of_seq
-  in
-  (attr_schema, conns)
 
 (* attribute output schema, shared by both probe paths *)
 let attr_schema_of db (ed : Co_schema.edge_def) ~parent_schema ~child_schema =
@@ -1502,15 +1470,14 @@ let execute_def ?(fixpoint = Semi_naive) ?(params = [||]) db (cp : compiled)
           ed_attrs = List.map (fun (e, n) -> (sub_expr e, n)) ed.Co_schema.ed_attrs })
       def.Co_schema.co_edges
   in
-  (* under the semi-naive fixpoint every live parent position is probed
-     exactly once per edge, so connection production fuses into the
-     reachability pass (per-edge accumulators read out afterwards). The
-     naive ablation re-probes parents every round and keeps the legacy
-     two-phase shape. *)
-  let fused = fixpoint = Semi_naive in
-  (* fused connection production fills the cache's struct-of-arrays
-     buffers directly — two int pushes per match, attribute rows only on
-     edges that declare them; the readout adopts the buffers wholesale *)
+  (* connection production fuses into the reachability pass: under the
+     semi-naive fixpoint every live parent position is probed exactly once
+     per edge. The naive ablation re-probes every live parent each round,
+     so it clears the buffers per round and keeps only the last one, which
+     adds no tuple and therefore probes the full connection set. Matches
+     fill the cache's struct-of-arrays buffers directly — two int pushes
+     per match, attribute rows only on edges that declare them; the
+     readout adopts the buffers wholesale *)
   let conn_bufs : (string * Cache.conns) list =
     List.map
       (fun (ed : Co_schema.edge_def) ->
@@ -1730,11 +1697,11 @@ let execute_def ?(fixpoint = Semi_naive) ?(params = [||]) db (cp : compiled)
         r.nr_mark <- r.nr_limit;
         r.nr_limit <- Vec.length r.nr_ni.Cache.ni_tuples)
       nodes_rt;
+    if fixpoint = Naive then List.iter (fun (_, cs) -> cs.Cache.cs_len <- 0) conn_bufs;
     List.iter
       (fun (ed : Co_schema.edge_def) ->
         let parent_rt = rt ed.Co_schema.ed_parent and child_rt = rt ed.Co_schema.ed_child in
-        (* naive ablation: re-probe every live parent each round through
-           the legacy list-shaped path *)
+        (* naive ablation: re-probe every live parent each round *)
         let naive_set =
           match fixpoint with
           | Semi_naive -> []
@@ -1770,10 +1737,8 @@ let execute_def ?(fixpoint = Semi_naive) ?(params = [||]) db (cp : compiled)
             let cur = ref 0 in
             let on_hit rowid enc attrs =
               let cpos, is_new = add_child child_rt proj rowid enc in
-              if fused then begin
-                ignore (Cache.push_conn buf ~parent:!cur ~child:cpos ~attrs);
-                er.er_conns <- er.er_conns + 1
-              end;
+              ignore (Cache.push_conn buf ~parent:!cur ~child:cpos ~attrs);
+              er.er_conns <- er.er_conns + 1;
               if is_new then changed := true
             in
             iter_probe_set (fun pos ->
@@ -1819,24 +1784,19 @@ let execute_def ?(fixpoint = Semi_naive) ?(params = [||]) db (cp : compiled)
                 pos
               end
             in
-            if fused then begin
-              let buf = buf_of ed.Co_schema.ed_name in
-              List.iter
-                (fun (ppos, tid, attrs) ->
-                  ignore
-                    (Cache.push_conn buf ~parent:ppos ~child:(pos_of_tid tid)
-                       ~attrs:(Row.encode attrs));
-                  er.er_conns <- er.er_conns + 1)
-                (probe_edge_generic_fused db ed ~parent_temp ~child_temp)
-            end
-            else
-              List.iter
-                (fun tid -> ignore (pos_of_tid tid))
-                (probe_edge_generic db ed ~parent_temp ~child_temp)
+            let buf = buf_of ed.Co_schema.ed_name in
+            List.iter
+              (fun (ppos, tid, attrs) ->
+                ignore
+                  (Cache.push_conn buf ~parent:ppos ~child:(pos_of_tid tid)
+                     ~attrs:(Row.encode attrs));
+                er.er_conns <- er.er_conns + 1)
+              (probe_edge_generic_fused db ed ~parent_temp ~child_temp)
         end)
       edge_defs;
-    if fused && !changed && adaptive_enabled () && cp.cp_force = None && cp.cp_ests <> [] then
-      adaptive_check !round
+    if fixpoint = Semi_naive && !changed && adaptive_enabled () && cp.cp_force = None
+       && cp.cp_ests <> []
+    then adaptive_check !round
   done
   in
   Obs.Trace.with_span "fixpoint" (fun () ->
@@ -1844,69 +1804,30 @@ let execute_def ?(fixpoint = Semi_naive) ?(params = [||]) db (cp : compiled)
       run_fixpoint ();
       Obs.Trace.add_meta "rounds" (string_of_int (stats.fixpoint_rounds - round0)));
   dbg "fixpoint";
-  (* 5. connection extents over the reached instance. Under the
-     semi-naive fixpoint the matches were already produced during
-     reachability — this is a readout of the per-edge accumulators, no
-     further query runs. The naive ablation recomputes them from the full
-     reached sets (its fixpoint probes parents repeatedly, so accumulation
-     would duplicate). *)
+  (* 5. connection extents over the reached instance: the matches were
+     already produced during reachability — this is a readout of the
+     per-edge buffers, no further query runs *)
   let edges =
     Obs.Trace.with_span "connections" @@ fun () ->
     List.map
       (fun (ed : Co_schema.edge_def) ->
         Obs.Trace.with_span ("edge:" ^ ed.Co_schema.ed_name) @@ fun () ->
         let parent_rt = rt ed.Co_schema.ed_parent and child_rt = rt ed.Co_schema.ed_child in
-        (* adopt the buffer wholesale as the edge's connection store —
-           zero-copy; the fused fixpoint filled it in delivery order *)
-        let ei_of attr_schema (cs : Cache.conns) =
-          let ei =
-            { Cache.ei_name = ed.Co_schema.ed_name; ei_parent = ed.Co_schema.ed_parent;
-              ei_child = ed.Co_schema.ed_child; ei_parent_node = parent_rt.nr_ni;
-              ei_child_node = child_rt.nr_ni; ei_attr_schema = attr_schema; ei_conns = cs;
-              ei_adj = None; ei_upd = Semantic.Upd_readonly "pending analysis" }
-          in
-          Obs.Trace.add_meta "conns" (string_of_int cs.Cache.cs_len);
-          (ed.Co_schema.ed_name, ei)
-        in
         let er = rt_edge ed.Co_schema.ed_name in
         let attr_schema =
           match er.er_bp with
           | Some bp -> bp.bp_schema
           | None -> er.er_plan.ep_cands.ec_generic_schema
         in
-        if fused then ei_of attr_schema (buf_of ed.Co_schema.ed_name)
-        else begin
-          let has_attrs = ed.Co_schema.ed_attrs <> [] in
-          match er.er_probe with
-          | Some probe ->
-            note_query ();
-            let cs = Cache.make_conns ~attrs:has_attrs () in
-            Vec.iter
-              (fun t ->
-                if t.Cache.t_live then
-                  probe t.Cache.t_row (fun rowid _enc attrs ->
-                      let child_pos = Cache.pos_of_rowid child_rt.nr_ni rowid in
-                      if child_pos >= 0 then
-                        ignore (Cache.push_conn cs ~parent:t.Cache.t_pos ~child:child_pos ~attrs)))
-              parent_rt.nr_ni.Cache.ni_tuples;
-            ei_of attr_schema cs
-          | None ->
-            let temp_of rt_ =
-              make_temp rt_.nr_ni.Cache.ni_schema
-                (Vec.to_seq rt_.nr_ni.Cache.ni_tuples
-                |> Seq.filter (fun t -> t.Cache.t_live)
-                |> Seq.map (fun t -> (t.Cache.t_pos, t.Cache.t_row)))
-            in
-            let attr_schema, conns =
-              connections_generic db ed ~parent_temp:(temp_of parent_rt)
-                ~child_temp:(temp_of child_rt)
-            in
-            let cs = Cache.make_conns ~attrs:has_attrs () in
-            List.iter
-              (fun (p, c, a) -> ignore (Cache.push_conn cs ~parent:p ~child:c ~attrs:(Row.encode a)))
-              conns;
-            ei_of attr_schema cs
-        end)
+        (* adopt the buffer wholesale as the edge's connection store —
+           zero-copy, filled in delivery order *)
+        let cs = buf_of ed.Co_schema.ed_name in
+        Obs.Trace.add_meta "conns" (string_of_int cs.Cache.cs_len);
+        ( ed.Co_schema.ed_name,
+          { Cache.ei_name = ed.Co_schema.ed_name; ei_parent = ed.Co_schema.ed_parent;
+            ei_child = ed.Co_schema.ed_child; ei_parent_node = parent_rt.nr_ni;
+            ei_child_node = child_rt.nr_ni; ei_attr_schema = attr_schema; ei_conns = cs;
+            ei_adj = None; ei_upd = Semantic.Upd_readonly "pending analysis" } ))
       edge_defs
   in
   dbg "connections";
@@ -1919,7 +1840,8 @@ let execute_def ?(fixpoint = Semi_naive) ?(params = [||]) db (cp : compiled)
       c_base_versions =
         List.filter_map
           (fun t -> Option.map (fun tbl -> (t, Table.version tbl)) (Catalog.table_opt catalog t))
-          base_tables }
+          base_tables;
+      c_unsaved = false }
   in
   (* 7. path-based restrictions over the instance, then reachability *)
   (* record observed cardinalities for the next warm execution's presizing *)
@@ -2009,15 +1931,3 @@ let finalize_plan db (cp : compiled) cache =
       apply_edge_final cache ei ef)
     cache.Cache.c_edges;
   cache
-
-(** [fetch ?fixpoint db reg q] evaluates an XNF query: composes the CO
-    definition, translates it to relational work, enforces reachability,
-    evaluates path-based restrictions, applies the TAKE projection and
-    returns the loaded cache. *)
-let fetch ?(fixpoint = Semi_naive) db reg (q : query) : Cache.t =
-  Obs.Trace.with_span "xnf.fetch" @@ fun () ->
-  let def, path_restrs, take =
-    Obs.Trace.with_span "semantic" (fun () -> View_registry.compose reg q)
-  in
-  let cp = compile_def ~take db def in
-  finalize_plan db cp (apply_take (execute_def ~fixpoint db cp path_restrs) take)

@@ -13,7 +13,8 @@
       else as generic QGM plans through the relational engine (rewrite and
       plan optimization included);
     - non-root extents are lazy: only reached tuples materialize;
-    - connection extents are computed per relationship after reachability;
+    - connection extents are produced by the reachability probes
+      themselves (the naive variant keeps its last round's);
     - path-based restrictions are evaluated on the instance, then
       reachability is re-established;
     - structural projection is evaluate-then-project. *)
@@ -69,12 +70,6 @@ val set_adaptive_factor : float -> unit
 val adaptive_factor : unit -> float
 val set_adaptive_min_rows : int -> unit
 val adaptive_min_rows : unit -> int
-
-(** [fetch ?fixpoint db reg q] evaluates an XNF query: composes the CO
-    definition, translates, enforces reachability, evaluates path-based
-    restrictions, applies the TAKE projection and returns the loaded
-    cache. *)
-val fetch : ?fixpoint:fixpoint -> Db.t -> View_registry.t -> Xnf_ast.query -> Cache.t
 
 (** A compiled fetch plan for a composed CO definition: node shape
     analysis, output schemas, updatability analysis and per-edge

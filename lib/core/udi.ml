@@ -144,6 +144,7 @@ let propagate_update ses ni (t : Cache.tuple) =
 
 let mark_dirty ses ni (t : Cache.tuple) =
   if ses.u_deferred then begin
+    ses.u_cache.Cache.c_unsaved <- true;
     if not t.Cache.t_dirty then begin
       t.Cache.t_dirty <- true;
       ses.u_dirty <- (ni.Cache.ni_name, t.Cache.t_pos) :: ses.u_dirty
@@ -152,7 +153,10 @@ let mark_dirty ses ni (t : Cache.tuple) =
   else propagate_update ses ni t
 
 let queue ses p =
-  if ses.u_deferred then ses.u_pending <- p :: ses.u_pending
+  if ses.u_deferred then begin
+    ses.u_cache.Cache.c_unsaved <- true;
+    ses.u_pending <- p :: ses.u_pending
+  end
   else begin
     let catalog = Db.catalog ses.u_db in
     match p with
@@ -381,6 +385,7 @@ let save ses =
   List.iter (queue ses) ops;
   ses.u_deferred <- deferred;
   (* the cache is now in sync with what it wrote *)
+  ses.u_cache.Cache.c_unsaved <- false;
   ses.u_cache.Cache.c_base_versions <-
     List.map
       (fun (name, v) ->

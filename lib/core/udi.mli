@@ -26,7 +26,8 @@ type t
 val session : Db.t -> Cache.t -> t
 
 (** [set_deferred ses flag] switches between immediate and deferred
-    propagation; call {!save} to flush deferred work. *)
+    propagation; call {!save} to flush deferred work. A deferred change
+    marks the cache [c_unsaved] (so {!Cache.stale} holds) until then. *)
 val set_deferred : t -> bool -> unit
 
 (** [set_validation ses flag] enables/disables optimistic conflict
@@ -73,7 +74,7 @@ val pending_count : t -> int
 
 (** [save ses] flushes deferred work: dirty tuples coalesce to one base
     write each; queued operations apply in issue order; the cache's
-    staleness baseline is refreshed. *)
+    staleness baseline is refreshed and its [c_unsaved] mark cleared. *)
 val save : t -> unit
 
 (** [with_deferred ses f] runs [f ()] with propagation deferred, then

@@ -16,8 +16,9 @@
      - lint cleanliness of every generated XNF statement;
      - metamorphic properties: a strengthened query yields a sub-instance
        (when every path restriction is monotone), TAKE projection of a
-       full fetch equals the projecting fetch, and a result-cache hit
-       equals the cold fetch.
+       full fetch equals the projecting fetch, a result-cache hit
+       equals the cold fetch, and a refetch after an unsaved deferred edit
+       of the served instance equals a fresh fetch.
 
    [mutation] injects a deliberate defect into the system-under-test
    caches after loading — the smoke test that proves divergences are
@@ -249,6 +250,32 @@ let apply_mutation (m : mutation) (cache : Cache.t) : bool =
           | _ -> false
         end)
       false cache.Cache.c_nodes
+
+(* ---- unsaved in-cache edits ---- *)
+
+(* a deferred, never-saved edit: overwrite one unlocked column of the first
+   live tuple of an updatable component through a Udi session. [false]
+   when the instance has no such cell. *)
+let unsaved_edit db (cache : Cache.t) : bool =
+  let cell (name, (ni : Cache.node_inst)) =
+    match ni.Cache.ni_upd, Cache.live_tuples ni with
+    | Some _, t :: _ ->
+      List.find_map
+        (fun (c : Schema.column) ->
+          match Schema.find_opt ni.Cache.ni_schema c.Schema.col_name with
+          | Some i when not (List.mem i ni.Cache.ni_locked_cols) ->
+            Some (name, t.Cache.t_pos, c.Schema.col_name)
+          | _ -> None)
+        (Schema.columns ni.Cache.ni_schema)
+    | _ -> None
+  in
+  match List.find_map cell cache.Cache.c_nodes with
+  | None -> false
+  | Some (node, pos, col) ->
+    let ses = Udi.session db cache in
+    Udi.set_deferred ses true;
+    Udi.update ses ~node ~pos [ (col, Value.Str "\000fuzz-unsaved-edit") ];
+    true
 
 (* ---- monotonicity eligibility ---- *)
 
@@ -580,6 +607,14 @@ let run ?(advise = false) ?mutation ?extra_restr (sc : Gen.scenario) : outcome =
               (match compare_caches hot sut with
               | Some d -> add "refetch" d
               | None -> ());
+              (* a deferred, unsaved edit to the served instance must not
+                 reach the next fetch of the same text *)
+              if unsaved_edit db hot then begin
+                let again = Api.fetch_string api sc.sc_query in
+                match compare_caches again (Api.fetch api q) with
+                | Some d -> add "refetch" ("after an unsaved edit: " ^ d)
+                | None -> ()
+              end;
               Api.set_result_cache api 0);
           (* metamorphic: a warm (cached-plan) fetch equals the cold fetch *)
           guard "plancache" (fun () ->

@@ -1,4 +1,4 @@
-(* Unit tests: cache key indexes, ordered cursors, materialized COs. *)
+(* Unit tests: cache key indexes, ordered cursors, the fetch-result cache. *)
 
 open Relational
 
@@ -63,54 +63,58 @@ let test_ordered_cursor_unknown_column () =
     Alcotest.fail "expected cursor error"
   with Xnf.Cursor.Cursor_error _ -> ()
 
-let test_materialized_serves_fresh () =
-  let db, api = mk () in
-  let mat = Xnf.Materialized.create db (Xnf.Api.registry api) in
-  Xnf.Materialized.define_string mat ~name:"orgs" "OUT OF V TAKE *";
-  let c1 = Xnf.Materialized.get mat "orgs" in
-  let c2 = Xnf.Materialized.get mat "orgs" in
-  Alcotest.(check bool) "same instance while fresh" true (c1 == c2);
-  Alcotest.(check (pair int int)) "one load, one hit" (1, 1) (Xnf.Materialized.stats mat "orgs")
+(* ---- the result cache: fresh hits, reloads, own writes ---- *)
 
-let test_materialized_reloads_on_change () =
+let q_v = "OUT OF V TAKE *"
+
+let rc_misses () = Obs.Metrics.counter_get "xnf.fetchcache.misses"
+
+let mk_rc () =
   let db, api = mk () in
-  let mat = Xnf.Materialized.create db (Xnf.Api.registry api) in
-  Xnf.Materialized.define_string mat ~name:"orgs" "OUT OF V TAKE *";
-  let c1 = Xnf.Materialized.get mat "orgs" in
+  Xnf.Api.set_result_cache api 4;
+  (db, api)
+
+let test_result_cache_fresh_hit () =
+  let _, api = mk_rc () in
+  let c1 = Xnf.Api.fetch_string api q_v in
+  let c2 = Xnf.Api.fetch_string api q_v in
+  Alcotest.(check bool) "same instance while fresh" true (c1 == c2)
+
+let test_result_cache_reloads_on_insert () =
+  let db, api = mk_rc () in
+  let c1 = Xnf.Api.fetch_string api q_v in
   ignore (Db.exec db "INSERT INTO emp VALUES (9, 'z', 50, 1)");
-  let c2 = Xnf.Materialized.get mat "orgs" in
+  let m0 = rc_misses () in
+  let c2 = Xnf.Api.fetch_string api q_v in
+  Alcotest.(check int) "stale entry misses" (m0 + 1) (rc_misses ());
   Alcotest.(check bool) "reloaded" true (not (c1 == c2));
   Alcotest.(check int) "sees the new employee" 5
     (Xnf.Cache.live_count (Xnf.Cache.node c2 "xemp"))
 
-let test_materialized_own_writes_stay_fresh () =
-  let db, api = mk () in
-  let mat = Xnf.Materialized.create db (Xnf.Api.registry api) in
-  Xnf.Materialized.define_string mat ~name:"orgs" "OUT OF V TAKE *";
-  let c1 = Xnf.Materialized.get mat "orgs" in
-  (* a udi session on the materialized instance refreshes the snapshot *)
-  let ses = Xnf.Udi.session db c1 in
+let test_result_cache_saved_write_stays_fresh () =
+  let _, api = mk_rc () in
+  let c1 = Xnf.Api.fetch_string api q_v in
+  (* a saved udi write refreshes the instance's version snapshot *)
+  let ses = Xnf.Api.session api c1 in
   Xnf.Udi.with_deferred ses (fun () ->
       Xnf.Udi.update ses ~node:"xemp" ~pos:0 [ ("sal", Value.Int 901) ]);
-  let c2 = Xnf.Materialized.get mat "orgs" in
-  Alcotest.(check bool) "own write does not invalidate" true (c1 == c2)
+  let c2 = Xnf.Api.fetch_string api q_v in
+  Alcotest.(check bool) "own saved write does not invalidate" true (c1 == c2)
 
-let test_materialized_invalidate_and_errors () =
-  let db, api = mk () in
-  let mat = Xnf.Materialized.create db (Xnf.Api.registry api) in
-  Xnf.Materialized.define_string mat ~name:"orgs" "OUT OF V TAKE *";
-  let c1 = Xnf.Materialized.get mat "orgs" in
-  Xnf.Materialized.invalidate mat "orgs";
-  let c2 = Xnf.Materialized.get mat "orgs" in
-  Alcotest.(check bool) "invalidate forces reload" true (not (c1 == c2));
-  (try
-     Xnf.Materialized.define_string mat ~name:"orgs" "OUT OF V TAKE *";
-     Alcotest.fail "expected duplicate error"
-   with Xnf.Materialized.Materialized_error _ -> ());
-  try
-    ignore (Xnf.Materialized.get mat "nosuch");
-    Alcotest.fail "expected unknown error"
-  with Xnf.Materialized.Materialized_error _ -> ()
+let test_result_cache_unsaved_edit () =
+  let _, api = mk_rc () in
+  let c1 = Xnf.Api.fetch_string api q_v in
+  (* a deferred edit rewrites the cached tuple but not the base table *)
+  let ses = Xnf.Api.session api c1 in
+  Xnf.Udi.set_deferred ses true;
+  Xnf.Udi.update ses ~node:"xemp" ~pos:0 [ ("sal", Value.Int 901) ];
+  let again = Xnf.Api.fetch_string api q_v in
+  Xnf.Api.set_result_cache api 0;
+  let fresh = Xnf.Api.fetch_string api q_v in
+  Alcotest.(check bool) "edited instance not served" true (not (c1 == again));
+  match Fuzz.Oracle.compare_caches again fresh with
+  | Some d -> Alcotest.failf "refetch after an unsaved edit differs from a fresh fetch: %s" d
+  | None -> ()
 
 let test_recompute_reachability_rootless () =
   let _, api = mk () in
@@ -126,10 +130,10 @@ let suite =
     Alcotest.test_case "key index errors" `Quick test_key_index_errors;
     Alcotest.test_case "ordered cursor" `Quick test_ordered_cursor;
     Alcotest.test_case "ordered cursor unknown column" `Quick test_ordered_cursor_unknown_column;
-    Alcotest.test_case "materialized: fresh hits" `Quick test_materialized_serves_fresh;
-    Alcotest.test_case "materialized: reload on change" `Quick test_materialized_reloads_on_change;
-    Alcotest.test_case "materialized: own writes stay fresh" `Quick
-      test_materialized_own_writes_stay_fresh;
-    Alcotest.test_case "materialized: invalidate and errors" `Quick
-      test_materialized_invalidate_and_errors;
+    Alcotest.test_case "result cache: fresh hits" `Quick test_result_cache_fresh_hit;
+    Alcotest.test_case "result cache: reload on change" `Quick test_result_cache_reloads_on_insert;
+    Alcotest.test_case "result cache: own writes stay fresh" `Quick
+      test_result_cache_saved_write_stays_fresh;
+    Alcotest.test_case "result cache: unsaved edit refetches" `Quick
+      test_result_cache_unsaved_edit;
     Alcotest.test_case "rootless projected instance" `Quick test_recompute_reachability_rootless ]

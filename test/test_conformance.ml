@@ -147,14 +147,15 @@ let test_path_expr_oracle () =
       | None -> ())
     equivalent_pairs;
   (* both fixpoint strategies agree on a qualified two-step path *)
-  let q =
+  let text =
     "OUT OF ALL-DEPS WHERE Xdept d SUCH THAT \
      EXISTS d->employment->(Xemp e WHERE e.sal > 0) TAKE *"
   in
-  let semi = Xnf.Api.fetch_string ~fixpoint:Xnf.Translate.Semi_naive api q in
-  let naive = Xnf.Api.fetch_string ~fixpoint:Xnf.Translate.Naive api q in
+  let q = Xnf.Xnf_parser.parse_query text in
+  let semi = Xnf.Api.fetch ~fixpoint:Xnf.Translate.Semi_naive api q in
+  let naive = Xnf.Api.fetch ~fixpoint:Xnf.Translate.Naive api q in
   match Fuzz.Oracle.compare_caches semi naive with
-  | Some d -> Alcotest.failf "fixpoints diverge on %s: %s" q d
+  | Some d -> Alcotest.failf "fixpoints diverge on %s: %s" text d
   | None -> ()
 
 (* the COUNT threshold matches independent adjacency counting on the

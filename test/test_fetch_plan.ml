@@ -52,8 +52,19 @@ let test_disabled_cache_recompiles () =
   ignore (Xnf.Api.fetch_string api q_all);
   ignore (Xnf.Api.fetch_string api q_all);
   Alcotest.(check int) "no hits when disabled" h0 (hits ());
-  (* the 0-capacity path takes the uncached Translate.fetch route *)
-  Alcotest.(check int) "no plan compiles when disabled" c0 (compiles ())
+  Alcotest.(check int) "one compile per fetch when disabled" (c0 + 2) (compiles ())
+
+(* exec and fetch_string key the plan cache by the same trimmed text *)
+let test_exec_and_fetch_string_share_plan () =
+  let _, api = mk () in
+  let c0 = compiles () and h0 = hits () in
+  (match Xnf.Api.exec api q_all with
+  | Xnf.Api.Fetched _ -> ()
+  | _ -> Alcotest.fail "expected Fetched outcome");
+  ignore (Xnf.Api.fetch_string api ("  " ^ q_all ^ "\n"));
+  Alcotest.(check int) "one compile" (c0 + 1) (compiles ());
+  Alcotest.(check int) "one hit" (h0 + 1) (hits ());
+  Alcotest.(check int) "one plan-cache slot" 1 (List.length (Xnf.Api.plans api))
 
 (* ---- the invalidation matrix: what MUST invalidate ---- *)
 
@@ -217,6 +228,8 @@ let test_lru_eviction () =
 let suite =
   [ Alcotest.test_case "warm fetches hit the plan cache" `Quick test_warm_hit;
     Alcotest.test_case "disabled cache keeps fetch-per-call" `Quick test_disabled_cache_recompiles;
+    Alcotest.test_case "exec and fetch_string share one plan" `Quick
+      test_exec_and_fetch_string_share_plan;
     Alcotest.test_case "CREATE INDEX invalidates" `Quick test_create_index_invalidates;
     Alcotest.test_case "DROP INDEX invalidates" `Quick test_drop_index_invalidates;
     Alcotest.test_case "base-table DDL invalidates" `Quick test_base_table_ddl_invalidates;
