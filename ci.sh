@@ -11,7 +11,8 @@
 #   converge  - plan-convergence corpus (equivalent formulations must
 #               load identical instances and cost-pick identical
 #               strategies) + the stats-drop mis-pick self-check
-#   bench     - bench smoke + baseline gate vs BENCH_seed.json
+#   bench     - bench smoke + oo1_closure allocation ceiling + baseline
+#               gate vs BENCH_seed.json
 #
 # `./ci.sh` runs every stage in order; `./ci.sh fuzz bench` runs a
 # subset (same as `make ci-fuzz ci-bench`). Exits non-zero on the first
@@ -228,6 +229,25 @@ stage_converge() {
 stage_bench() {
   echo "== bench smoke =="
   dune exec bench/main.exe -- --list
+
+  echo "== allocation ceiling (oo1_closure, bench/suite) =="
+  # bytes allocated per op on the recursive OO1 closure, a work counter
+  # that repeats to within 1 B across runs on any host: 12 MB sits
+  # between the generic root-edge pick (26.3 MB, a temp copy of the whole
+  # connection table per fetch) and the hash pick over one shared build
+  # (7.4 MB)
+  dune build bench/suite/xnf_bench.exe
+  alloc=$(./_build/default/bench/suite/xnf_bench.exe --workload oo1_closure --seed 1 \
+    --ops 130 --trace 1 | sed -n 's/.*"gc\.alloc_bytes_per_op": {"value": \([0-9.e+]*\),.*/\1/p')
+  if [ -z "$alloc" ]; then
+    echo "alloc gate: gc.alloc_bytes_per_op not reported"
+    exit 1
+  fi
+  echo "oo1_closure gc.alloc_bytes_per_op = $alloc B (ceiling 12000000 B)"
+  if ! awk -v v="$alloc" 'BEGIN { exit !(v + 0 <= 12000000) }'; then
+    echo "alloc gate: ceiling exceeded"
+    exit 1
+  fi
 
   echo "== bench gate (E4+E11+E12+E13+E14 vs BENCH_seed.json) =="
   # re-run the paged-storage, repeated-fetch, batch-edge, cost-pick and

@@ -589,6 +589,27 @@ type hash_source = {
   mutable hs_build : hash_build option;  (** cached across executions of the plan *)
 }
 
+(* a plan's hash sources, one per (table, key columns, folded predicate):
+   edges over the same child extent — a recursive closure's root edge and
+   its recursive edge — share one build and its version check, the
+   common-subexpression reuse the paper asks of the translation. Tables
+   and predicates compare physically: the same node yields the same
+   ones. *)
+let source_memo () =
+  let sources = ref [] in
+  fun tbl key_cols pred ->
+    match
+      List.find_opt
+        (fun hs ->
+          hs.hs_table == tbl && hs.hs_key_cols = key_cols && Option.equal ( == ) hs.hs_pred pred)
+        !sources
+    with
+    | Some hs -> hs
+    | None ->
+      let hs = { hs_table = tbl; hs_key_cols = key_cols; hs_pred = pred; hs_build = None } in
+      sources := hs :: !sources;
+      hs
+
 let ensure_build (hs : hash_source) =
   let v = Table.version hs.hs_table in
   match hs.hs_build with
@@ -683,8 +704,9 @@ let rec emit_hits scanned (emit : emit) = function
    version-cached hash builds instead of stored indexes, so it applies
    to any equality-joined simple child. Builds/reuses happen when the
    returned closure is applied to the EXECUTE-time [params] — once per
-   fetch. *)
-let build_hash_prober db (ed : Co_schema.edge_def) ~(parent_schema : Schema.t)
+   fetch. [source] hands out the plan's shared hash sources
+   ({!source_memo}). *)
+let build_hash_prober ~source db (ed : Co_schema.edge_def) ~(parent_schema : Schema.t)
     ~(child : simple) : ((Value.t array -> prober) * int ref) option =
   let pa = ed.Co_schema.ed_parent_alias and ca = ed.Co_schema.ed_child_alias in
   let child_base_schema = Table.schema child.s_table in
@@ -723,10 +745,7 @@ let build_hash_prober db (ed : Co_schema.edge_def) ~(parent_schema : Schema.t)
     | [] -> None
     | pairs ->
       let parent_cols = Array.of_list (List.map fst pairs) in
-      let source =
-        { hs_table = child.s_table; hs_key_cols = Array.of_list (List.map snd pairs);
-          hs_pred = build_pred; hs_build = None }
-      in
+      let source = source child.s_table (Array.of_list (List.map snd pairs)) build_pred in
       let residual0 = bind_residual (List.rev !residual) in
       let scanned = ref 0 in
       Some
@@ -798,13 +817,9 @@ let build_hash_prober db (ed : Co_schema.edge_def) ~(parent_schema : Schema.t)
       else begin
         let parent_cols = Array.of_list (List.map snd parent_bind) in
         let link_ccols = Array.of_list (List.map fst child_bind) in
-        let link_source =
-          { hs_table = link; hs_key_cols = Array.of_list (List.map fst parent_bind);
-            hs_pred = None; hs_build = None }
-        in
+        let link_source = source link (Array.of_list (List.map fst parent_bind)) None in
         let child_source =
-          { hs_table = child.s_table; hs_key_cols = Array.of_list (List.map snd child_bind);
-            hs_pred = build_pred; hs_build = None }
+          source child.s_table (Array.of_list (List.map snd child_bind)) build_pred
         in
         let residual0 = bind_residual (List.rev !residual) in
         let scanned = ref 0 in
@@ -1151,6 +1166,13 @@ type edge_plan = {
   ep_cands : edge_candidates;
 }
 
+(* the strategies the compiled closures can actually serve, in static
+   selection-priority order (indexed > batch hash > generic) *)
+let servable cands =
+  (if cands.ec_indexed <> None then [ S_indexed ] else [])
+  @ (if cands.ec_hash <> None then [ S_hash ] else [])
+  @ [ S_generic ]
+
 (** One adaptive mid-fixpoint strategy switch, recorded on the plan. *)
 type switch_rec = {
   sw_edge : string;
@@ -1218,6 +1240,7 @@ let compile_def ?(take = Xnf_ast.Take_star) ?force db (def : Co_schema.t) : comp
   in
   (* every servable access path per edge, compiled up front (a probe path
      over base rows needs a simple child; generic always applies) *)
+  let source = source_memo () in
   let cand_edges =
     List.map
       (fun (ed : Co_schema.edge_def) ->
@@ -1237,7 +1260,7 @@ let compile_def ?(take = Xnf_ast.Take_star) ?force db (def : Co_schema.t) : comp
         in
         let cands =
           { ec_indexed = try_prober build_indexed_prober;
-            ec_hash = try_prober build_hash_prober;
+            ec_hash = try_prober (build_hash_prober ~source);
             ec_generic_schema =
               attr_schema_of db ed ~parent_schema:parent.np_schema
                 ~child_schema:child.np_schema }
@@ -1248,13 +1271,6 @@ let compile_def ?(take = Xnf_ast.Take_star) ?force db (def : Co_schema.t) : comp
         in
         (ed, cands, shape))
       def.Co_schema.co_edges
-  in
-  (* the strategies the compiled closures can actually serve, in static
-     selection-priority order (indexed > batch hash > generic) *)
-  let servable cands =
-    (if cands.ec_indexed <> None then [ S_indexed ] else [])
-    @ (if cands.ec_hash <> None then [ S_hash ] else [])
-    @ [ S_generic ]
   in
   (* cost-based pick: only unforced and with a fresh ANALYZE snapshot for
      every base table the plan reads — stale or missing stats fall back
@@ -1413,6 +1429,7 @@ type edge_rt = {
   mutable er_probed : int;  (** frontier rows fed to this edge so far *)
   mutable er_conns : int;  (** connections produced so far *)
   mutable er_switched : bool;  (** divergence handled — at most one switch per execution *)
+  mutable er_probe_ns : float;  (** wall time spent in this edge's probe batches *)
 }
 
 (* substitute EXECUTE-time values into the symbolic (instance-evaluated)
@@ -1535,7 +1552,8 @@ let execute_def ?(fixpoint = Semi_naive) ?(params = [||]) db (cp : compiled)
         in
         let er =
           { er_name = name; er_plan = ep; er_serving = serving; er_probe = None; er_bp = None;
-            er_scan_base = 0; er_probed = 0; er_conns = 0; er_switched = false }
+            er_scan_base = 0; er_probed = 0; er_conns = 0; er_switched = false;
+            er_probe_ns = 0. }
         in
         set_serving er serving;
         (name, er))
@@ -1600,10 +1618,12 @@ let execute_def ?(fixpoint = Semi_naive) ?(params = [||]) db (cp : compiled)
      After each semi-naive round with more work pending, compare the
      observed frontier / connection / candidate-scan counters per edge
      against the plan's estimates. Beyond [adaptive_factor] divergence
-     (with at least [adaptive_min_rows] observed rows), re-cost the
-     candidates through the shared model with observed counts — live
-     cardinalities replace the evidently-unreliable snapshot extents —
-     and switch the edge's serving strategy for subsequent rounds. The
+     (with at least [adaptive_min_rows] observed rows), re-pick through
+     the planner's own [Edge_cost.best] fed observed counts — live
+     cardinalities replace the evidently-unreliable snapshot extents, so
+     the runtime check and the compile-time pick cannot disagree on the
+     same numbers — and switch the edge's serving strategy for
+     subsequent rounds. The
      switch is recorded on the plan (EXPLAIN ANALYZE, sys.plans) and
      reused by plan-cache hits; at most one switch per edge per
      execution, so estimates can never cause flapping. Only cost-picked,
@@ -1651,23 +1671,19 @@ let execute_def ?(fixpoint = Semi_naive) ?(params = [||]) db (cp : compiled)
                 | Some (l, _) -> live_child +. live_card l
                 | None -> live_child
               in
-              let cost = function
-                | S_indexed ->
-                  if er.er_plan.ep_cands.ec_indexed = None then infinity
-                  else if er.er_serving = S_indexed then f +. Float.max c scan
-                  else f +. Float.max (f *. Float.max 1. ee.Edge_cost.ee_cand_fan) c
-                | S_hash ->
-                  if er.er_plan.ep_cands.ec_hash = None then infinity
-                  else live_build +. f +. c
-                | S_generic -> f *. Float.max 1. live_child
+              (* an indexed edge's observed scan replaces the
+                 candidate-fanout estimate *)
+              let observed =
+                { ee with
+                  Edge_cost.ee_frontier = f; ee_conns = c; ee_child = live_child;
+                  ee_build = live_build;
+                  ee_cand_fan =
+                    (if er.er_serving = S_indexed then scan /. Float.max 1. f
+                     else ee.Edge_cost.ee_cand_fan) }
               in
               let target, _ =
-                List.fold_left
-                  (fun (bs, bc) s ->
-                    let cs = cost s in
-                    if cs < bc then (s, cs) else (bs, bc))
-                  (S_indexed, cost S_indexed)
-                  [ S_hash; S_generic ]
+                Edge_cost.best observed ~candidates:(servable er.er_plan.ep_cands) ~frontier:f
+                  ~conns:c
               in
               if target <> er.er_serving then begin
                 let sw =
@@ -1745,7 +1761,10 @@ let execute_def ?(fixpoint = Semi_naive) ?(params = [||]) db (cp : compiled)
                 cur := pos;
                 probe (Cache.tuple parent_rt.nr_ni pos).Cache.t_row on_hit)
           in
-          match er.er_probe with
+          (* rounds interleave the edges, so each edge's probe time is
+             accumulated here and reported on its connections span *)
+          let t0 = Obs.Metrics.now_ns () in
+          (match er.er_probe with
           | Some probe ->
             if er.er_serving = S_hash then begin
               stats.hash_probes <- stats.hash_probes + 1;
@@ -1791,7 +1810,8 @@ let execute_def ?(fixpoint = Semi_naive) ?(params = [||]) db (cp : compiled)
                   (Cache.push_conn buf ~parent:ppos ~child:(pos_of_tid tid)
                      ~attrs:(Row.encode attrs));
                 er.er_conns <- er.er_conns + 1)
-              (probe_edge_generic_fused db ed ~parent_temp ~child_temp)
+              (probe_edge_generic_fused db ed ~parent_temp ~child_temp));
+          er.er_probe_ns <- er.er_probe_ns +. (Obs.Metrics.now_ns () -. t0)
         end)
       edge_defs;
     if fixpoint = Semi_naive && !changed && adaptive_enabled () && cp.cp_force = None
@@ -1823,6 +1843,7 @@ let execute_def ?(fixpoint = Semi_naive) ?(params = [||]) db (cp : compiled)
            zero-copy, filled in delivery order *)
         let cs = buf_of ed.Co_schema.ed_name in
         Obs.Trace.add_meta "conns" (string_of_int cs.Cache.cs_len);
+        Obs.Trace.add_meta "probe_ms" (Printf.sprintf "%.3f" (er.er_probe_ns /. 1e6));
         ( ed.Co_schema.ed_name,
           { Cache.ei_name = ed.Co_schema.ed_name; ei_parent = ed.Co_schema.ed_parent;
             ei_child = ed.Co_schema.ed_child; ei_parent_node = parent_rt.nr_ni;

@@ -213,11 +213,15 @@ let candidates (es : edge_shape) : strategy list =
 
 (** [cost_of ee ~frontier ~conns s] is the estimated row cost of serving
     the edge with [s], parameterized over the frontier/connection counts
-    so the adaptive runtime check can re-cost with observed numbers. *)
+    so the adaptive runtime check can re-cost with observed numbers.
+    Generic re-reads the child extent (and link table) into a temp and
+    joins it on every execution, so it pays at least the hash build's
+    input on top of its frontier-by-child join; a hash build pays that
+    input once per table version. *)
 let cost_of (ee : edge_est) ~frontier ~conns = function
   | S_indexed -> frontier +. Float.max conns (frontier *. Float.max 1. ee.ee_cand_fan)
   | S_hash -> ee.ee_build +. frontier +. conns
-  | S_generic -> frontier *. Float.max 1. ee.ee_child
+  | S_generic -> ee.ee_build +. (frontier *. Float.max 1. ee.ee_child)
 
 (** [best ee ~candidates ~frontier ~conns] is the cheapest candidate and
     its cost. Ties keep the earlier candidate, i.e. the static

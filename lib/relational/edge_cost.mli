@@ -86,8 +86,9 @@ val candidates : edge_shape -> strategy list
 (** [cost_of ee ~frontier ~conns s] is the estimated row cost of serving
     the edge with [s]: indexed probes pay the frontier plus the larger
     of the connections produced and the candidate rows scanned; hash
-    pays its build plus frontier plus connections; generic joins the
-    frontier against the whole child extent. [frontier]/[conns] are
+    pays its build plus frontier plus connections; generic re-reads the
+    build input on every execution and joins the frontier against the
+    whole child extent. [frontier]/[conns] are
     parameters so the adaptive runtime check can re-cost with observed
     counts. *)
 val cost_of : edge_est -> frontier:float -> conns:float -> strategy -> float

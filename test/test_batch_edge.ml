@@ -132,7 +132,8 @@ let test_one_pass_indexed_counters () =
   Alcotest.(check int) "indexed edges selected" 2 s.indexed_probes;
   Alcotest.(check int) "exactly one pass: roots + 2 probe passes" 3 s.queries_issued
 
-(* recursive CO over an unindexed management tree: per-round batch passes *)
+(* recursive CO over an unindexed management tree: per-round batch passes,
+   and both edges probe the one build over memp's mgrno *)
 let test_recursive_tree_counters () =
   let db = Db.create () in
   let n = Chain.mgmt_tree ~indexes:false db ~levels:3 ~fanout:2 in
@@ -145,11 +146,27 @@ let test_recursive_tree_counters () =
   Alcotest.(check int) "top conns" 2 (conn_count cache "top");
   Alcotest.(check int) "manages conns" 4 (conn_count cache "manages");
   Alcotest.(check int) "both edges batch hash" 2 s.hash_edges;
-  Alcotest.(check int) "one build per edge over memp" 2 s.hash_builds;
+  Alcotest.(check int) "one shared build over memp" 1 s.hash_builds;
   Alcotest.(check int) "top r1; manages r2, r3" 3 s.hash_probes;
   Alcotest.(check int) "rounds = tree levels" 3 s.fixpoint_rounds;
-  Alcotest.(check int) "roots + 2 builds + 3 passes" 6 s.queries_issued;
+  Alcotest.(check int) "roots + 1 build + 3 passes" 5 s.queries_issued;
   Alcotest.(check int) "frontier sizes 1 + 2 + 4" 7 s.tuples_probed
+
+(* closure-shaped plan: both edges hash memp on mgrno through one shared
+   build, so one SQL INSERT into memp costs the next execution exactly one
+   rebuild, not one per edge *)
+let test_shared_build_rebuilt_once () =
+  let db = Db.create () in
+  ignore (Chain.mgmt_tree ~indexes:false db ~levels:3 ~fanout:2);
+  let api = Xnf.Api.create db in
+  Xnf.Api.set_plan_cache api 8;
+  let builds () = Obs.Metrics.counter_get "xnf.translate.hash_builds" in
+  ignore (Xnf.Api.fetch_string api Chain.mgmt_query);
+  ignore (Xnf.Api.exec api "INSERT INTO memp VALUES (99, 0, 99)");
+  let b0 = builds () in
+  let cache = Xnf.Api.fetch_string api Chain.mgmt_query in
+  Alcotest.(check int) "one rebuild after the insert" 1 (builds () - b0);
+  Alcotest.(check int) "new subordinate reached" 7 (node_count cache "xemp")
 
 (* USING link table without indexes: the edge chains two builds *)
 let test_using_chained_builds () =
@@ -365,6 +382,8 @@ let suite =
     Alcotest.test_case "one-pass chain counters (hash)" `Quick test_one_pass_chain_counters;
     Alcotest.test_case "one-pass chain counters (indexed)" `Quick test_one_pass_indexed_counters;
     Alcotest.test_case "recursive tree counters" `Quick test_recursive_tree_counters;
+    Alcotest.test_case "shared build rebuilt once after an insert" `Quick
+      test_shared_build_rebuilt_once;
     Alcotest.test_case "USING chains two builds" `Quick test_using_chained_builds;
     Alcotest.test_case "build reuse via plan cache + DML staleness" `Quick
       test_build_reuse_plan_cache;

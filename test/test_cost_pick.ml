@@ -199,6 +199,46 @@ let test_switch_reused_next_execution () =
   | None -> ()
   | Some d -> Alcotest.failf "warm switched instance diverged: %s" d)
 
+(* ---- point root over an unindexed child ----
+
+   One parent (k = 7) joins a 2,000-row child on the unindexed fk (20
+   matches) — the oo1_closure root edge in miniature (and
+   examples/converge/g7_point_root.xnf). Generic would re-read and join
+   the whole child extent on every execution, so the honest cost picks
+   hash-batch; a hair-trigger adaptive check must re-cost with the same
+   function and keep it. *)
+
+let test_point_root_adaptive_keeps_hash () =
+  let db = Db.create () in
+  execs db
+    ([ "CREATE TABLE pp (k INTEGER PRIMARY KEY, f INTEGER)";
+       "CREATE TABLE pc (k INTEGER PRIMARY KEY, fk INTEGER, g INTEGER)";
+       "INSERT INTO pp VALUES "
+       ^ String.concat ", " (List.init 100 (fun k -> Printf.sprintf "(%d, %d)" k (k mod 10))) ]
+    @ List.init 20 (fun b ->
+          "INSERT INTO pc VALUES "
+          ^ String.concat ", "
+              (List.init 100 (fun i ->
+                   let k = (b * 100) + i in
+                   Printf.sprintf "(%d, %d, %d)" k (k mod 100) (k mod 7))))
+    @ [ "ANALYZE" ]);
+  let api = Xnf.Api.create db in
+  let plan =
+    Xnf.Fetch_plan.compile db (Xnf.Api.registry api)
+      (Xnf.Xnf_parser.parse_query
+         "OUT OF p0 AS (SELECT * FROM pp WHERE k = 7), c0 AS (SELECT * FROM pc), \
+          e0 AS (RELATE p0, c0 WHERE (p0.k = c0.fk)) TAKE *")
+  in
+  Alcotest.(check bool) "cost-based" true (Xnf.Fetch_plan.cost_based plan);
+  let cache =
+    with_adaptive ~factor:0.5 ~min_rows:1 (fun () -> Xnf.Fetch_plan.execute db plan)
+  in
+  Alcotest.(check int) "children of the point root" 20
+    (Xnf.Cache.live_count (Xnf.Cache.node cache "c0"));
+  Alcotest.(check strat) "e0 served by hash-batch" Xnf.Translate.S_hash
+    (List.assoc "e0" (Xnf.Fetch_plan.effective_strategies plan));
+  Alcotest.(check (list switch_t)) "no switch recorded" [] (Xnf.Fetch_plan.switches plan)
+
 (* ---- advisor consistency with the shared estimator ---- *)
 
 (* tiny frontier, large unique-indexed child: the shared estimator must
@@ -292,5 +332,7 @@ let suite =
     Alcotest.test_case "adaptive switch fires on drift" `Quick test_adaptive_switch_fires;
     Alcotest.test_case "adaptive quiet within tolerance" `Quick test_adaptive_quiet_within_tolerance;
     Alcotest.test_case "switched strategy reused when warm" `Quick test_switch_reused_next_execution;
+    Alcotest.test_case "point root: adaptive keeps hash" `Quick
+      test_point_root_adaptive_keeps_hash;
     Alcotest.test_case "advisor agrees with planner" `Quick test_advisor_agrees_with_planner;
     Alcotest.test_case "PLAN305 subject is the cost pick" `Quick test_advisor_inversion_matches_pick ]

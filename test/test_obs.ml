@@ -150,7 +150,10 @@ let test_explain_analyze_xnf () =
     (fun needle ->
       Alcotest.(check bool) (Printf.sprintf "nonzero rows for %s" needle) true
         (contains ~needle report))
-    [ "node xdept"; "rows=2"; "node xemp"; "rows=3"; "edge employment"; "conns=3" ]
+    [ "node xdept"; "rows=2"; "node xemp"; "rows=3"; "edge employment"; "conns=3" ];
+  (* the edge's span carries its accumulated fixpoint probe time *)
+  Alcotest.(check bool) "edge span reports probe_ms" true
+    (contains ~needle:"conns=3  probe_ms=" report)
 
 let test_explain_analyze_sql () =
   let _, api = quickstart_api () in
