@@ -325,9 +325,9 @@ let e3 () =
       let api = Xnf.Api.create db in
       let total = Workload.Design.total_rows db in
       let q = Xnf.Xnf_parser.parse_query (Workload.Design.working_set_query 0) in
-      Xnf.Translate.reset_stats ();
+      let d = Obs.Metrics.since () in
       let cache, set_ms = time_ms (fun () -> Xnf.Api.fetch api q) in
-      let set_queries = Xnf.Translate.stats.Xnf.Translate.queries_issued in
+      let set_queries = d "xnf.translate.queries" in
       let ws = Xnf.Cache.total_tuples cache in
       let def, _, _ = Xnf.View_registry.compose (Xnf.Api.registry api) q in
       let nav = Baseline.Sql_navigator.create db in
@@ -505,10 +505,10 @@ let e5 () =
         (* warm both paths once before measuring *)
         ignore (Xnf.Api.fetch api q);
         ignore (Baseline.Naive_translate.extract_unshared db def);
-        Xnf.Translate.reset_stats ();
+        let d = Obs.Metrics.since () in
         let cache = Xnf.Api.fetch api q in
         let shared_ms = time_avg_ms ~reps:3 (fun () -> Xnf.Api.fetch api q) in
-        let shared_q = Xnf.Translate.stats.Xnf.Translate.queries_issued / 4 in
+        let shared_q = d "xnf.translate.queries" / 4 in
         let naive = Baseline.Naive_translate.extract_unshared db def in
         let naive_ms =
           time_avg_ms ~reps:3 (fun () -> Baseline.Naive_translate.extract_unshared db def)
@@ -539,13 +539,13 @@ let e6 () =
         Workload.Chain.mgmt_chain db ~chain_len:len;
         let api = Xnf.Api.create db in
         let q = Xnf.Xnf_parser.parse_query Workload.Chain.mgmt_query in
-        Xnf.Translate.reset_stats ();
+        let d = Obs.Metrics.since () in
         let _, semi_ms = time_ms (fun () -> Xnf.Api.fetch ~fixpoint:Xnf.Translate.Semi_naive api q) in
-        let semi_probed = Xnf.Translate.stats.Xnf.Translate.tuples_probed in
-        let semi_rounds = Xnf.Translate.stats.Xnf.Translate.fixpoint_rounds in
-        Xnf.Translate.reset_stats ();
+        let semi_probed = d "xnf.translate.tuples_probed" in
+        let semi_rounds = d "xnf.translate.rounds" in
+        let d = Obs.Metrics.since () in
         let _, naive_ms = time_ms (fun () -> Xnf.Api.fetch ~fixpoint:Xnf.Translate.Naive api q) in
-        let naive_probed = Xnf.Translate.stats.Xnf.Translate.tuples_probed in
+        let naive_probed = d "xnf.translate.tuples_probed" in
         [ string_of_int len; string_of_int semi_rounds; string_of_int semi_probed; f1 semi_ms;
           string_of_int naive_probed; f1 naive_ms; fx (naive_ms /. semi_ms) ])
       [ 25; 50; 100; 200 ]
@@ -802,7 +802,7 @@ let e12 () =
      probes against a build computed once per fetch — and, across warm \
      executions of the same plan, not even once per fetch";
   let scale = match Sys.getenv_opt "E12_SCALE" with Some s -> max 1 (int_of_string s) | None -> 1 in
-  let s = Xnf.Translate.stats in
+  let tr name = Obs.Metrics.counter_get ("xnf.translate." ^ name) in
   (* cold fetch per strategy: compile with the access path pinned, then
      time executions (hash builds included — that is the cold cost).
      Every repetition recompiles, so no build survives into the next
@@ -858,17 +858,17 @@ let e12 () =
   let _, api, q = deep (600 * scale) in
   let _, cold_ms, cp, db, restrs = forced_run api q Xnf.Translate.S_hash in
   let reps = 20 in
-  let b0 = s.hash_builds and r0 = s.hash_build_reuses in
+  let b0 = tr "hash_builds" and r0 = tr "hash_build_reuses" in
   let warm_ms =
     time_avg_ms ~reps (fun () -> Xnf.Translate.execute_def db cp restrs)
   in
-  let warm_builds = s.hash_builds - b0 and warm_reuses = s.hash_build_reuses - r0 in
+  let warm_builds = tr "hash_builds" - b0 and warm_reuses = tr "hash_build_reuses" - r0 in
   let warm_speedup = cold_ms /. warm_ms in
   (* allocation per frontier probe on the warm path (builds reused, so
      this is pure probe-side allocation): one extra execution bracketed
      by Gc.allocated_bytes, normalized by the frontier rows probed *)
   let alloc_per_probe =
-    let p0 = s.tuples_probed in
+    let p0 = tr "tuples_probed" in
     (* drain the minor heap on both sides: OCaml 5's [Gc.allocated_bytes]
        only advances at minor collections, so an undrained bracket is
        quantized by the minor-heap size (~2MB) and flaps run to run *)
@@ -877,7 +877,7 @@ let e12 () =
     ignore (Xnf.Translate.execute_def db cp restrs);
     Gc.minor ();
     let bytes = Gc.allocated_bytes () -. a0 in
-    bytes /. float_of_int (max 1 (s.tuples_probed - p0))
+    bytes /. float_of_int (max 1 (tr "tuples_probed" - p0))
   in
   pr "   warm: %.2f ms/fetch vs %.2f cold (%s) — %d rebuilds, %d build reuses over %d fetches@."
     warm_ms cold_ms (fx warm_speedup) warm_builds warm_reuses reps;

@@ -12,7 +12,8 @@
      \explain <sql>   show rewritten QGM and physical plan
      \fetch <query>   load a CO and keep it as the current cache
      \show            print the current cache
-     \stats           translation statistics of the last fetch
+     \stats           translation counters (xnf.translate.* deltas) since the
+                      last \fetch
      \lint <query>    statically check an XNF/SQL statement, report diagnostics
      \advise <query>  static plan advisor: cost-annotated plan + PLAN3xx advisories
      \advisories      show the session advisory log (sys.advisories)
@@ -69,6 +70,10 @@ let load_demo api =
   Workload.Company.register_views api ~repr:Workload.Company.Cdb1;
   Fmt.pr "demo company database loaded; XNF views: ALL-DEPS, ALL-DEPS-ORG, EXT-ALL-DEPS-ORG, ORG-UNIT@."
 
+(* counter window of the last [\fetch]: [\stats] reports the
+   xnf.translate.* counters' growth since then *)
+let fetch_window = ref (Obs.Metrics.since ())
+
 let handle_meta api current line =
   let db = Xnf.Api.db api in
   let strip prefix =
@@ -122,7 +127,7 @@ let handle_meta api current line =
     Fmt.pr "pipeline invariant validators are %s@."
       (if Check.Pipeline.installed () then "on" else "off")
   else if String.length line > 7 && String.sub line 0 7 = "\\fetch " then begin
-    Xnf.Translate.reset_stats ();
+    fetch_window := Obs.Metrics.since ();
     let cache = Xnf.Api.fetch_string api (strip "\\fetch ") in
     current := Some cache;
     Fmt.pr "%a" Xnf.Cache.pp cache
@@ -228,11 +233,11 @@ let handle_meta api current line =
     end
   end
   else if line = "\\stats" then begin
-    let s = Xnf.Translate.stats in
-    Fmt.pr "queries issued: %d, fixpoint rounds: %d, tuples probed: %d@."
-      s.Xnf.Translate.queries_issued s.Xnf.Translate.fixpoint_rounds s.Xnf.Translate.tuples_probed;
-    Fmt.pr "indexed probers: %d, generic probers: %d@." s.Xnf.Translate.indexed_probes
-      s.Xnf.Translate.generic_probes
+    let d name = !fetch_window ("xnf.translate." ^ name) in
+    Fmt.pr "queries issued: %d, fixpoint rounds: %d, tuples probed: %d@." (d "queries")
+      (d "rounds") (d "tuples_probed");
+    Fmt.pr "indexed probers: %d, hash-batch probers: %d, generic probers: %d@."
+      (d "indexed_probes") (d "hash_edges") (d "generic_probes")
   end
   else Fmt.pr "unknown command %s@." line
 

@@ -4,7 +4,7 @@
 #   build     - dune build @all
 #   test      - test suites (twice: as-is and with XNF_CHECK validators
 #               forced on) + the sys.*/slow-query observability gate +
-#               the shared-database example smoke
+#               the shared-database example smoke + the shell \stats smoke
 #   lint      - statement-corpus lint + advisor pass + PLAN300 gate
 #   fuzz      - differential fuzzing, corpus replay, mutation smoke
 #   crash     - crash-point oracle, durability defect smoke, kill -9 gate
@@ -83,6 +83,18 @@ stage_test() {
     echo "example smoke: write/write conflict not reported"; cat "$EX_OUT"; exit 1
   fi
   rm -f "$EX_OUT"
+
+  echo "== shell smoke (\\stats) =="
+  # \stats reports the xnf.translate.* counter deltas since the last
+  # \fetch: fetching a demo view must show a nonzero query count
+  SH_SCRIPT=/tmp/shell_stats_$$.sql
+  SH_OUT=/tmp/shell_stats_$$.out
+  printf '%s\n' '\fetch OUT OF ALL-DEPS TAKE *' '\stats' > "$SH_SCRIPT"
+  dune exec bin/xnf_shell.exe -- --demo -f "$SH_SCRIPT" > "$SH_OUT"
+  if ! grep -Eq 'queries issued: [1-9]' "$SH_OUT"; then
+    echo "shell smoke: \\stats shows no translation queries after \\fetch"; cat "$SH_OUT"; exit 1
+  fi
+  rm -f "$SH_SCRIPT" "$SH_OUT"
 }
 
 stage_lint() {

@@ -25,7 +25,7 @@ let () =
   let api = Xnf.Api.create db in
 
   (* extract configuration 0's working set as ONE composite object *)
-  Xnf.Translate.reset_stats ();
+  let d = Obs.Metrics.since () in
   let t0 = Sys.time () in
   let ws = Xnf.Api.fetch_string api (Workload.Design.working_set_query 0) in
   let dt = Sys.time () -. t0 in
@@ -34,7 +34,7 @@ let () =
     ws_rows (Xnf.Cache.total_conns ws)
     (float_of_int ws_rows /. float_of_int total)
     (dt *. 1000.)
-    Xnf.Translate.stats.Xnf.Translate.queries_issued;
+    (d "xnf.translate.queries");
 
   (* browse: configuration -> versions -> components *)
   let cfg = Xnf.Cursor.open_independent ws "xcfg" in

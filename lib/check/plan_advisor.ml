@@ -214,10 +214,13 @@ let analyze_compiled ?(probe_threshold = 1000.) ?(force_factor = 2.) ?(inversion
              && ec.ec_cost >= probe_threshold -> (
         (* Which index is missing? FK form: a single-column index on the
            first child join column unlocks the indexed chain. USING form:
-           whichever of the link-side or child-side indexes is absent. *)
+           whichever of the link-side or child-side indexes is absent; a
+           link binding no parent column has no probe key, so no index
+           can serve the edge. *)
         let target =
           match es.Translate.es_using with
           | None -> Some (ct, [ List.hd es.Translate.es_child_cols ])
+          | Some (_, []) -> None
           | Some (link, lcols) ->
             if not (has_index link lcols) then Some (link, lcols)
             else if not (has_index ct es.Translate.es_child_cols) then

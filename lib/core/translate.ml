@@ -10,16 +10,21 @@
        topological sweep; recursive schemas iterate. The naive variant
        (re-probing from full reached sets, E6 ablation) is selectable
        through [`Naive`] and keeps only its last round's connections;
-     - each probe is *access-path selected*, like the plan optimizer does
-       for parent/child joins ("in the plan optimizer handling of joins is
-       heavily used since parent child relationships are computed by
-       joins"): an FK-equality relationship whose child is a plain base
-       table with an index on the FK column runs as an index-nested-loop
-       probe; a USING relationship with indexed link bindings chains two
-       index lookups; everything else falls back to a generic plan — the
-       parent frontier and the child's materialized extent joined through
-       the relational engine (shared-temporary common subexpressions,
-       query rewrite and join-method selection included);
+     - each relationship's predicate is analyzed once into its join key
+       (FK pairs or USING link bindings, plus residual conjuncts), and
+       each probe is *access-path selected* from it, like the plan
+       optimizer does for parent/child joins ("in the plan optimizer
+       handling of joins is heavily used since parent child relationships
+       are computed by joins"): an FK-equality relationship whose child is
+       a plain base table with an index on the FK column runs as an
+       index-nested-loop probe; a USING relationship with indexed link
+       bindings chains two index lookups; any other relationship keyed on
+       both sides over a plain base-table child runs as a batch hash probe
+       against a version-cached build; everything else falls back to a
+       generic plan — the parent frontier and the child's materialized
+       extent joined through the relational engine (shared-temporary
+       common subexpressions, query rewrite and join-method selection
+       included);
      - non-root extents are therefore *lazy*: only reached tuples are ever
        materialized, which is what makes working-set extraction at 10^-4
        selectivity set-oriented AND cheap (E3);
@@ -47,41 +52,8 @@ type strategy = Edge_cost.strategy = S_indexed | S_hash | S_generic
 
 let strategy_name = Edge_cost.strategy_name
 
-(** Statistics of translation activity since the last [reset_stats]. *)
-type stats = {
-  mutable queries_issued : int;  (** relational queries / batch probes run *)
-  mutable fixpoint_rounds : int;
-  mutable tuples_probed : int;  (** total frontier sizes fed to edge probes *)
-  mutable indexed_probes : int;  (** edges served by index-nested-loop probes *)
-  mutable generic_probes : int;  (** edges served by generic join plans *)
-  mutable hash_edges : int;  (** edges served by batch hash probes *)
-  mutable hash_builds : int;  (** hash tables built over child/link extents *)
-  mutable hash_build_reuses : int;  (** builds skipped: cached table still version-valid *)
-  mutable hash_probes : int;  (** batch hash probe passes run *)
-  mutable cost_picks : int;  (** edges whose strategy came from the cost model *)
-  mutable strategy_switches : int;  (** adaptive mid-fixpoint strategy switches *)
-}
-
-let stats =
-  { queries_issued = 0; fixpoint_rounds = 0; tuples_probed = 0; indexed_probes = 0;
-    generic_probes = 0; hash_edges = 0; hash_builds = 0; hash_build_reuses = 0; hash_probes = 0;
-    cost_picks = 0; strategy_switches = 0 }
-
-let reset_stats () =
-  stats.queries_issued <- 0;
-  stats.fixpoint_rounds <- 0;
-  stats.tuples_probed <- 0;
-  stats.indexed_probes <- 0;
-  stats.generic_probes <- 0;
-  stats.hash_edges <- 0;
-  stats.hash_builds <- 0;
-  stats.hash_build_reuses <- 0;
-  stats.hash_probes <- 0;
-  stats.cost_picks <- 0;
-  stats.strategy_switches <- 0
-
-(* the same activity, mirrored into the process-global metrics registry
-   (the [stats] record stays per-module for the existing harness API) *)
+(* translation activity, in the process-global metrics registry: tests,
+   benches and the shell's [\stats] read deltas of these counters *)
 let m_queries = Obs.Metrics.counter "xnf.translate.queries"
 let m_rounds = Obs.Metrics.counter "xnf.translate.rounds"
 let m_tuples_probed = Obs.Metrics.counter "xnf.translate.tuples_probed"
@@ -114,9 +86,7 @@ let adaptive_factor () = !adaptive_factor_v
 let set_adaptive_min_rows n = adaptive_min_rows_v := max 0 n
 let adaptive_min_rows () = !adaptive_min_rows_v
 
-let note_query () =
-  stats.queries_issued <- stats.queries_issued + 1;
-  Obs.Metrics.incr m_queries
+let note_query () = Obs.Metrics.incr m_queries
 
 let run_query db qgm =
   note_query ();
@@ -322,42 +292,119 @@ type prober = Row.enc -> emit -> unit
 
 let empty_enc : Row.enc = [||]
 
-let edge_conjuncts (ed : Co_schema.edge_def) =
-  let rec split = function
-    | Sql_ast.E_and (a, b) -> split a @ split b
-    | e -> [ e ]
-  in
-  split ed.Co_schema.ed_pred
-
 let qual_is alias = function
   | Some q -> String.equal (String.lowercase_ascii q) alias
   | None -> false
 
-(* shared prelude of the OCaml-executed probe paths (index-nested-loop
-   and batch hash): the concat schema residual predicates and attributes
-   bind over, and the per-EXECUTE parameter specialization. *)
-let prober_ctx db (ed : Co_schema.edge_def) ~(parent_schema : Schema.t) ~(child : simple) =
-  let pa = ed.Co_schema.ed_parent_alias and ca = ed.Co_schema.ed_child_alias in
-  let child_base_schema = Table.schema child.s_table in
-  (* the schema residual predicates and attributes bind over *)
-  let concat_schema =
-    let base = Schema.concat (Schema.requalify pa parent_schema) (Schema.requalify ca child_base_schema) in
-    match ed.Co_schema.ed_using with
-    | None -> base
-    | Some (t, a) -> begin
-      match Catalog.table_opt (Db.catalog db) t with
-      | Some link -> Schema.concat base (Schema.requalify a (Table.schema link))
-      | None -> base
-    end
+(* ---- join-key analysis ----
+
+   Each relationship's predicate is split into conjuncts and classified
+   once per plan, in [compile_def]: an equality between a parent column
+   and a child base column is an FK key pair; on a USING edge an equality
+   between a link column and a parent (child) column is a parent (child)
+   link binding; everything else is residual. The indexed and hash
+   probers, the structural edge shape and — through the shape —
+   servability ([Edge_cost.candidates]) all read this one result. *)
+
+type join_key =
+  | Fk of (int * int * Sql_ast.expr) list
+      (** (parent column, child base column, source conjunct), predicate order *)
+  | Using of {
+      link : Table.t;
+      parent_bind : (int * int) list;  (** (link column, parent column) *)
+      child_bind : (int * int) list;  (** (link column, child base column) *)
+    }
+
+type edge_keys = {
+  ek_key : join_key;
+  ek_residual : Sql_ast.expr list;  (** non-key conjuncts, predicate order *)
+  ek_concat : Schema.t;  (** parent ++ child base (++ link): residuals and attributes bind here *)
+}
+
+(* the schema an edge's residual predicate and attributes bind over:
+   parent ++ child (++ USING link) rows *)
+let concat_schema db (ed : Co_schema.edge_def) ~parent_schema ~child_schema =
+  let base =
+    Schema.concat
+      (Schema.requalify ed.Co_schema.ed_parent_alias parent_schema)
+      (Schema.requalify ed.Co_schema.ed_child_alias child_schema)
   in
+  match ed.Co_schema.ed_using with
+  | None -> base
+  | Some (t, a) -> begin
+    match Catalog.table_opt (Db.catalog db) t with
+    | Some link -> Schema.concat base (Schema.requalify a (Table.schema link))
+    | None -> base
+  end
+
+(* relationship-attribute output schema over an edge's concat schema *)
+let attr_schema db (ed : Co_schema.edge_def) concat =
   let env = Db.bind_env db in
-  let bind_residual residual =
-    match residual with
+  Schema.make
+    (List.map
+       (fun (e, name) ->
+         let bound = Binder.bind_expr env concat e in
+         Schema.column name (Binder.infer_ty env concat bound))
+       ed.Co_schema.ed_attrs)
+
+let analyze_keys db (ed : Co_schema.edge_def) ~(parent_schema : Schema.t) ~(child : simple) :
+    edge_keys =
+  let pa = ed.Co_schema.ed_parent_alias and ca = ed.Co_schema.ed_child_alias in
+  let child_schema = Table.schema child.s_table in
+  let link =
+    Option.map
+      (fun (name, la) ->
+        match Catalog.table_opt (Db.catalog db) name with
+        | None -> err "[XNF005] relationship %s: USING table %s does not exist" ed.Co_schema.ed_name name
+        | Some t -> (t, String.lowercase_ascii la))
+      ed.Co_schema.ed_using
+  in
+  let classify (q, n) =
+    if qual_is pa q then Option.map (fun i -> `Parent i) (Schema.find_opt parent_schema n)
+    else if qual_is ca q then Option.map (fun i -> `Child i) (Schema.find_opt child_schema n)
+    else
+      match link with
+      | Some (t, la) when qual_is la q ->
+        Option.map (fun i -> `Link i) (Schema.find_opt (Table.schema t) n)
+      | _ -> None
+  in
+  let fk = ref [] and parent_bind = ref [] and child_bind = ref [] and residual = ref [] in
+  let rec split = function
+    | Sql_ast.E_and (a, b) -> split a; split b
+    | Sql_ast.E_cmp (Expr.Eq, Sql_ast.E_col (qa, na), Sql_ast.E_col (qb, nb)) as c -> begin
+      match classify (qa, na), classify (qb, nb) with
+      | (Some (`Parent p), Some (`Child ch) | Some (`Child ch), Some (`Parent p)) when link = None ->
+        fk := (p, ch, c) :: !fk
+      | Some (`Link l), Some (`Parent p) | Some (`Parent p), Some (`Link l) ->
+        parent_bind := (l, p) :: !parent_bind
+      | Some (`Link l), Some (`Child ch) | Some (`Child ch), Some (`Link l) ->
+        child_bind := (l, ch) :: !child_bind
+      | _ -> residual := c :: !residual
+    end
+    | c -> residual := c :: !residual
+  in
+  split ed.Co_schema.ed_pred;
+  let ek_key =
+    match link with
+    | None -> Fk (List.rev !fk)
+    | Some (link, _) ->
+      Using { link; parent_bind = List.rev !parent_bind; child_bind = List.rev !child_bind }
+  in
+  { ek_key; ek_residual = List.rev !residual;
+    ek_concat = concat_schema db ed ~parent_schema ~child_schema }
+
+(* shared prelude of the OCaml-executed probe paths (index-nested-loop
+   and batch hash): residual binding over the concat schema and the
+   per-EXECUTE parameter specialization. *)
+let prober_ctx db (ed : Co_schema.edge_def) (keys : edge_keys) ~(child : simple) =
+  let env = Db.bind_env db in
+  let bind_residual = function
     | [] -> None
-    | cs -> Some (Binder.bind_expr env concat_schema (List.fold_left (fun a c -> Sql_ast.E_and (a, c)) (List.hd cs) (List.tl cs)))
+    | c :: cs ->
+      Some (Binder.bind_expr env keys.ek_concat (List.fold_left (fun a c -> Sql_ast.E_and (a, c)) c cs))
   in
   let attr_fns =
-    List.map (fun (e, _) -> Binder.bind_expr env concat_schema e) ed.Co_schema.ed_attrs
+    List.map (fun (e, _) -> Binder.bind_expr env keys.ek_concat e) ed.Co_schema.ed_attrs
   in
   (* when the edge carries no WITH ATTRIBUTES, hits never need the
      parent++child concat row unless a residual predicate asks for it —
@@ -379,48 +426,38 @@ let prober_ctx db (ed : Co_schema.edge_def) ~(parent_schema : Schema.t) ~(child 
   in
   (bind_residual, no_attrs, specialize)
 
-(* try to build an index-nested-loop prober for [ed]; [parent_schema] is
-   the parent node's output schema, the child must be simple. The result
-   is parameterized over EXECUTE-time values: applying it to a [params]
-   array substitutes the parameter slots once and yields the per-row
-   probe function. The [int ref] counts candidate rows scanned (index
-   bucket sizes before residual filtering, cumulative over the prober's
-   lifetime) — the observable the adaptive fallback compares against the
-   plan's scan estimate, since stale statistics cannot show a skewed
-   bucket but the counter does. *)
-let build_indexed_prober db (ed : Co_schema.edge_def) ~(parent_schema : Schema.t)
-    ~(child : simple) : ((Value.t array -> prober) * int ref) option =
-  let pa = ed.Co_schema.ed_parent_alias and ca = ed.Co_schema.ed_child_alias in
-  let child_base_schema = Table.schema child.s_table in
-  let conjuncts = edge_conjuncts ed in
-  let bind_residual, no_attrs, specialize = prober_ctx db ed ~parent_schema ~child in
-  match ed.Co_schema.ed_using with
-  | None -> begin
-    (* FK form: find one equality parent.a = child.b with an index on b *)
-    let classify (q, n) =
-      if qual_is pa q then
-        Option.map (fun i -> `Parent i) (Schema.find_opt parent_schema n)
-      else if qual_is ca q then
-        Option.map (fun i -> `Child i) (Schema.find_opt child_base_schema n)
-      else None
-    in
-    let rec pick seen = function
+(* try to build an index-nested-loop prober for [ed] from its key
+   analysis; the child must be simple. The result is parameterized over
+   EXECUTE-time values: applying it to a [params] array substitutes the
+   parameter slots once and yields the per-row probe function. The
+   [int ref] counts candidate rows scanned (index bucket sizes before
+   residual filtering, cumulative over the prober's lifetime) — the
+   observable the adaptive fallback compares against the plan's scan
+   estimate, since stale statistics cannot show a skewed bucket but the
+   counter does. *)
+let build_indexed_prober db (ed : Co_schema.edge_def) (keys : edge_keys) ~(child : simple) :
+    ((Value.t array -> prober) * int ref) option =
+  let bind_residual, no_attrs, specialize = prober_ctx db ed keys ~child in
+  match keys.ek_key with
+  | Fk pairs -> begin
+    (* the first key pair with an index on its child column keys the
+       probe; the other key equalities filter as residuals *)
+    let rec pick = function
       | [] -> None
-      | (Sql_ast.E_cmp (Expr.Eq, Sql_ast.E_col (qa, na), Sql_ast.E_col (qb, nb)) as c) :: rest -> begin
-        match classify (qa, na), classify (qb, nb) with
-        | Some (`Parent p), Some (`Child ch) | Some (`Child ch), Some (`Parent p) -> begin
-          match Table.find_index child.s_table ~cols:[| ch |] with
-          | Some idx -> Some (p, idx, List.rev_append seen rest)
-          | None -> pick (c :: seen) rest
-        end
-        | _ -> pick (c :: seen) rest
+      | ((p, ch, _) as kp) :: rest -> begin
+        match Table.find_index child.s_table ~cols:[| ch |] with
+        | Some idx -> Some (p, idx, kp)
+        | None -> pick rest
       end
-      | c :: rest -> pick (c :: seen) rest
     in
-    match pick [] conjuncts with
+    match pick pairs with
     | None -> None
-    | Some (parent_col, idx, residual) ->
-      let residual0 = bind_residual residual in
+    | Some (parent_col, idx, kp) ->
+      let residual0 =
+        bind_residual
+          (List.filter_map (fun ((_, _, c) as kp') -> if kp' == kp then None else Some c) pairs
+          @ keys.ek_residual)
+      in
       let scanned = ref 0 in
       Some
         ( (fun params ->
@@ -455,94 +492,61 @@ let build_indexed_prober db (ed : Co_schema.edge_def) ~(parent_schema : Schema.t
             end),
           scanned )
   end
-  | Some (link_name, la) -> begin
-    match Catalog.table_opt (Db.catalog db) link_name with
-    | None -> err "[XNF005] relationship %s: USING table %s does not exist" ed.Co_schema.ed_name link_name
-    | Some link -> begin
-      let link_schema = Table.schema link in
-      let la = String.lowercase_ascii la in
-      let classify (q, n) =
-        if qual_is pa q then Option.map (fun i -> `Parent i) (Schema.find_opt parent_schema n)
-        else if qual_is ca q then
-          Option.map (fun i -> `Child i) (Schema.find_opt child_base_schema n)
-        else if qual_is la q then Option.map (fun i -> `Link i) (Schema.find_opt link_schema n)
-        else None
-      in
-      (* split equality conjuncts into link-parent and link-child bindings *)
-      let parent_bind = ref [] and child_bind = ref [] and residual = ref [] in
-      List.iter
-        (fun c ->
-          match c with
-          | Sql_ast.E_cmp (Expr.Eq, Sql_ast.E_col (qa, na), Sql_ast.E_col (qb, nb)) -> begin
-            match classify (qa, na), classify (qb, nb) with
-            | Some (`Link l), Some (`Parent p) | Some (`Parent p), Some (`Link l) ->
-              parent_bind := (l, p) :: !parent_bind
-            | Some (`Link l), Some (`Child ch) | Some (`Child ch), Some (`Link l) ->
-              child_bind := (l, ch) :: !child_bind
-            | _ -> residual := c :: !residual
-          end
-          | c -> residual := c :: !residual)
-        conjuncts;
-      let parent_bind = List.rev !parent_bind and child_bind = List.rev !child_bind in
-      if parent_bind = [] || child_bind = [] then None
-      else begin
-        let link_key_cols = Array.of_list (List.map fst parent_bind) in
-        let child_key_cols = Array.of_list (List.map fst child_bind) in
-        match
-          ( Table.find_index link ~cols:link_key_cols,
-            Table.find_index child.s_table ~cols:(Array.of_list (List.map snd child_bind)) )
-        with
-        | Some link_idx, Some child_idx ->
-          ignore child_key_cols;
-          let residual0 = bind_residual (List.rev !residual) in
-          let scanned = ref 0 in
-          Some
-            ( (fun params ->
-                let sub, eval_attrs, child_ok = specialize params in
-                let residual = Option.map sub residual0 in
-                fun parent_row emit ->
-                let link_key =
-                  Array.of_list (List.map (fun (_, p) -> Dict.decode parent_row.(p)) parent_bind)
+  | Using { link; parent_bind; child_bind } -> begin
+    if parent_bind = [] || child_bind = [] then None
+    else
+      match
+        ( Table.find_index link ~cols:(Array.of_list (List.map fst parent_bind)),
+          Table.find_index child.s_table ~cols:(Array.of_list (List.map snd child_bind)) )
+      with
+      | Some link_idx, Some child_idx ->
+        let residual0 = bind_residual keys.ek_residual in
+        let scanned = ref 0 in
+        Some
+          ( (fun params ->
+              let sub, eval_attrs, child_ok = specialize params in
+              let residual = Option.map sub residual0 in
+              fun parent_row emit ->
+              let link_key =
+                Array.of_list (List.map (fun (_, p) -> Dict.decode parent_row.(p)) parent_bind)
+              in
+              if not (Array.exists Value.is_null link_key) then begin
+                let links = Table.lookup_index link link_idx link_key in
+                scanned := !scanned + List.length links;
+                let parent_dec =
+                  if residual <> None || not no_attrs then Row.decode parent_row else [||]
                 in
-                if not (Array.exists Value.is_null link_key) then begin
-                  let links = Table.lookup_index link link_idx link_key in
-                  scanned := !scanned + List.length links;
-                  let parent_dec =
-                    if residual <> None || not no_attrs then Row.decode parent_row else [||]
-                  in
-                  List.iter
-                    (fun (_, link_row) ->
-                      let child_key =
-                        Array.of_list (List.map (fun (l, _) -> link_row.(l)) child_bind)
-                      in
-                      if not (Array.exists Value.is_null child_key) then begin
-                        let cands = Table.lookup_index child.s_table child_idx child_key in
-                        scanned := !scanned + List.length cands;
-                        List.iter
-                          (fun (rowid, base_row) ->
-                            if child_ok base_row then begin
-                              if residual = None && no_attrs then
-                                emit rowid (Row.encode base_row) empty_enc
-                              else begin
-                                let concat =
-                                  Row.concat (Row.concat parent_dec base_row) link_row
-                                in
-                                let keep =
-                                  match residual with
-                                  | None -> true
-                                  | Some p -> Value.is_true (Expr.eval_pred concat p)
-                                in
-                                if keep then emit rowid (Row.encode base_row) (eval_attrs concat)
-                              end
-                            end)
-                          cands
-                      end)
-                    links
-                end),
-              scanned )
-        | _ -> None
-      end
-    end
+                List.iter
+                  (fun (_, link_row) ->
+                    let child_key =
+                      Array.of_list (List.map (fun (l, _) -> link_row.(l)) child_bind)
+                    in
+                    if not (Array.exists Value.is_null child_key) then begin
+                      let cands = Table.lookup_index child.s_table child_idx child_key in
+                      scanned := !scanned + List.length cands;
+                      List.iter
+                        (fun (rowid, base_row) ->
+                          if child_ok base_row then begin
+                            if residual = None && no_attrs then
+                              emit rowid (Row.encode base_row) empty_enc
+                            else begin
+                              let concat =
+                                Row.concat (Row.concat parent_dec base_row) link_row
+                              in
+                              let keep =
+                                match residual with
+                                | None -> true
+                                | Some p -> Value.is_true (Expr.eval_pred concat p)
+                              in
+                              if keep then emit rowid (Row.encode base_row) (eval_attrs concat)
+                            end
+                          end)
+                        cands
+                    end)
+                  links
+              end),
+            scanned )
+      | _ -> None
   end
 
 (* ---- batch hash probing ----
@@ -614,12 +618,10 @@ let ensure_build (hs : hash_source) =
   let v = Table.version hs.hs_table in
   match hs.hs_build with
   | Some b when b.hb_version = v ->
-    stats.hash_build_reuses <- stats.hash_build_reuses + 1;
     Obs.Metrics.incr m_hash_build_reuses;
     b.hb_tbl
   | _ ->
     note_query ();
-    stats.hash_builds <- stats.hash_builds + 1;
     Obs.Metrics.incr m_hash_builds;
     (* pre-sized to the extent so no resize ever rehashes the whole
        build; bucket lists are stored as values (probe sets are
@@ -698,20 +700,18 @@ let rec emit_hits scanned (emit : emit) = function
     emit rowid enc empty_enc;
     emit_hits scanned emit rest
 
-(* try to build a batch-hash prober for [ed] — same contract as
-   [build_indexed_prober] (including the candidate-scan counter: bucket
-   sizes before residual filtering), but resolving matches through
-   version-cached hash builds instead of stored indexes, so it applies
-   to any equality-joined simple child. Builds/reuses happen when the
-   returned closure is applied to the EXECUTE-time [params] — once per
-   fetch. [source] hands out the plan's shared hash sources
-   ({!source_memo}). *)
-let build_hash_prober ~source db (ed : Co_schema.edge_def) ~(parent_schema : Schema.t)
-    ~(child : simple) : ((Value.t array -> prober) * int ref) option =
-  let pa = ed.Co_schema.ed_parent_alias and ca = ed.Co_schema.ed_child_alias in
-  let child_base_schema = Table.schema child.s_table in
-  let conjuncts = edge_conjuncts ed in
-  let bind_residual, no_attrs, specialize = prober_ctx db ed ~parent_schema ~child in
+(* build the batch-hash prober for [ed] from its key analysis — same
+   contract as [build_indexed_prober] (including the candidate-scan
+   counter: bucket sizes before residual filtering), but resolving
+   matches through version-cached hash builds instead of stored indexes,
+   so it applies to any equality-joined simple child. [compile_def]
+   builds it only where [Edge_cost.candidates] lists hash, i.e. the key
+   has columns on both sides. Builds/reuses happen when the returned
+   closure is applied to the EXECUTE-time [params] — once per fetch.
+   [source] hands out the plan's shared hash sources ({!source_memo}). *)
+let build_hash_prober ~source db (ed : Co_schema.edge_def) (keys : edge_keys) ~(child : simple) :
+    (Value.t array -> prober) * int ref =
+  let bind_residual, no_attrs, specialize = prober_ctx db ed keys ~child in
   (* a parameter-free child predicate filters at BUILD time, so probes
      skip per-candidate predicate evaluation (and the decode it needs);
      a parameterized one must stay at probe time *)
@@ -719,168 +719,109 @@ let build_hash_prober ~source db (ed : Co_schema.edge_def) ~(parent_schema : Sch
     match child.s_pred with Some p when not (Expr.has_param p) -> Some p | _ -> None
   in
   let probe_pred = if build_pred = None then child.s_pred else None in
-  match ed.Co_schema.ed_using with
-  | None -> begin
-    (* FK form: every equality parent.a = child.b joins the key *)
-    let classify (q, n) =
-      if qual_is pa q then
-        Option.map (fun i -> `Parent i) (Schema.find_opt parent_schema n)
-      else if qual_is ca q then
-        Option.map (fun i -> `Child i) (Schema.find_opt child_base_schema n)
-      else None
+  let residual0 = bind_residual keys.ek_residual in
+  let scanned = ref 0 in
+  match keys.ek_key with
+  | Fk pairs ->
+    (* every key equality parent.a = child.b joins the composite key *)
+    let parent_cols = Array.of_list (List.map (fun (p, _, _) -> p) pairs) in
+    let source =
+      source child.s_table (Array.of_list (List.map (fun (_, ch, _) -> ch) pairs)) build_pred
     in
-    let pairs = ref [] and residual = ref [] in
-    List.iter
-      (fun c ->
-        match c with
-        | Sql_ast.E_cmp (Expr.Eq, Sql_ast.E_col (qa, na), Sql_ast.E_col (qb, nb)) -> begin
-          match classify (qa, na), classify (qb, nb) with
-          | Some (`Parent p), Some (`Child ch) | Some (`Child ch), Some (`Parent p) ->
-            pairs := (p, ch) :: !pairs
-          | _ -> residual := c :: !residual
-        end
-        | c -> residual := c :: !residual)
-      conjuncts;
-    match List.rev !pairs with
-    | [] -> None
-    | pairs ->
-      let parent_cols = Array.of_list (List.map fst pairs) in
-      let source = source child.s_table (Array.of_list (List.map snd pairs)) build_pred in
-      let residual0 = bind_residual (List.rev !residual) in
-      let scanned = ref 0 in
-      Some
-        ( (fun params ->
-            let sub, eval_attrs, child_ok = specialize params in
-            let child_ok = if probe_pred = None then fun _ -> true else child_ok in
-            let residual = Option.map sub residual0 in
-            let probe_k = mk_hash_probe (ensure_build source) parent_cols in
-            if residual = None && no_attrs && probe_pred = None then
-              (* fast path: nothing reads any decoded row — one hash
-                 find, then emit the stored bucket as-is *)
-              fun parent_row emit -> emit_hits scanned emit (probe_k parent_row)
-            else
-              fun parent_row emit ->
-                let cands = probe_k parent_row in
-                if cands <> [] then begin
-                  let parent_dec =
-                    if residual <> None || not no_attrs then Row.decode parent_row else [||]
-                  in
-                  List.iter
-                    (fun (rowid, enc) ->
-                      incr scanned;
-                      let base_row = Row.decode enc in
-                      if child_ok base_row then begin
-                        if residual = None && no_attrs then emit rowid enc empty_enc
-                        else begin
-                          let concat = Row.concat parent_dec base_row in
-                          let keep =
-                            match residual with
-                            | None -> true
-                            | Some p -> Value.is_true (Expr.eval_pred concat p)
-                          in
-                          if keep then emit rowid enc (eval_attrs concat)
-                        end
-                      end)
-                    cands
-                end),
-          scanned )
-  end
-  | Some (link_name, la) -> begin
-    match Catalog.table_opt (Db.catalog db) link_name with
-    | None -> err "[XNF005] relationship %s: USING table %s does not exist" ed.Co_schema.ed_name link_name
-    | Some link -> begin
-      let link_schema = Table.schema link in
-      let la = String.lowercase_ascii la in
-      let classify (q, n) =
-        if qual_is pa q then Option.map (fun i -> `Parent i) (Schema.find_opt parent_schema n)
-        else if qual_is ca q then
-          Option.map (fun i -> `Child i) (Schema.find_opt child_base_schema n)
-        else if qual_is la q then Option.map (fun i -> `Link i) (Schema.find_opt link_schema n)
-        else None
-      in
-      let parent_bind = ref [] and child_bind = ref [] and residual = ref [] in
-      List.iter
-        (fun c ->
-          match c with
-          | Sql_ast.E_cmp (Expr.Eq, Sql_ast.E_col (qa, na), Sql_ast.E_col (qb, nb)) -> begin
-            match classify (qa, na), classify (qb, nb) with
-            | Some (`Link l), Some (`Parent p) | Some (`Parent p), Some (`Link l) ->
-              parent_bind := (l, p) :: !parent_bind
-            | Some (`Link l), Some (`Child ch) | Some (`Child ch), Some (`Link l) ->
-              child_bind := (l, ch) :: !child_bind
-            | _ -> residual := c :: !residual
-          end
-          | c -> residual := c :: !residual)
-        conjuncts;
-      let parent_bind = List.rev !parent_bind and child_bind = List.rev !child_bind in
-      if parent_bind = [] || child_bind = [] then None
-      else begin
-        let parent_cols = Array.of_list (List.map snd parent_bind) in
-        let link_ccols = Array.of_list (List.map fst child_bind) in
-        let link_source = source link (Array.of_list (List.map fst parent_bind)) None in
-        let child_source =
-          source child.s_table (Array.of_list (List.map snd child_bind)) build_pred
-        in
-        let residual0 = bind_residual (List.rev !residual) in
-        let scanned = ref 0 in
-        Some
-          ( (fun params ->
-              let sub, eval_attrs, child_ok = specialize params in
-              let child_ok = if probe_pred = None then fun _ -> true else child_ok in
-              let residual = Option.map sub residual0 in
-              let probe_l = mk_hash_probe (ensure_build link_source) parent_cols in
-              let probe_c = mk_hash_probe (ensure_build child_source) link_ccols in
-              if residual = None && no_attrs && probe_pred = None then
-                fun parent_row emit ->
-                  let rec go = function
-                    | [] -> ()
-                    | (_, link_enc) :: rest ->
-                      incr scanned;
-                      emit_hits scanned emit (probe_c link_enc);
-                      go rest
-                  in
-                  go (probe_l parent_row)
-              else
-                fun parent_row emit ->
-                  let links = probe_l parent_row in
-                  if links <> [] then begin
-                    let parent_dec =
-                      if residual <> None || not no_attrs then Row.decode parent_row else [||]
+    ( (fun params ->
+        let sub, eval_attrs, child_ok = specialize params in
+        let child_ok = if probe_pred = None then fun _ -> true else child_ok in
+        let residual = Option.map sub residual0 in
+        let probe_k = mk_hash_probe (ensure_build source) parent_cols in
+        if residual = None && no_attrs && probe_pred = None then
+          (* fast path: nothing reads any decoded row — one hash
+             find, then emit the stored bucket as-is *)
+          fun parent_row emit -> emit_hits scanned emit (probe_k parent_row)
+        else
+          fun parent_row emit ->
+            let cands = probe_k parent_row in
+            if cands <> [] then begin
+              let parent_dec =
+                if residual <> None || not no_attrs then Row.decode parent_row else [||]
+              in
+              List.iter
+                (fun (rowid, enc) ->
+                  incr scanned;
+                  let base_row = Row.decode enc in
+                  if child_ok base_row then begin
+                    if residual = None && no_attrs then emit rowid enc empty_enc
+                    else begin
+                      let concat = Row.concat parent_dec base_row in
+                      let keep =
+                        match residual with
+                        | None -> true
+                        | Some p -> Value.is_true (Expr.eval_pred concat p)
+                      in
+                      if keep then emit rowid enc (eval_attrs concat)
+                    end
+                  end)
+                cands
+            end),
+      scanned )
+  | Using { link; parent_bind; child_bind } ->
+    let parent_cols = Array.of_list (List.map snd parent_bind) in
+    let link_ccols = Array.of_list (List.map fst child_bind) in
+    let link_source = source link (Array.of_list (List.map fst parent_bind)) None in
+    let child_source = source child.s_table (Array.of_list (List.map snd child_bind)) build_pred in
+    ( (fun params ->
+        let sub, eval_attrs, child_ok = specialize params in
+        let child_ok = if probe_pred = None then fun _ -> true else child_ok in
+        let residual = Option.map sub residual0 in
+        let probe_l = mk_hash_probe (ensure_build link_source) parent_cols in
+        let probe_c = mk_hash_probe (ensure_build child_source) link_ccols in
+        if residual = None && no_attrs && probe_pred = None then
+          fun parent_row emit ->
+            let rec go = function
+              | [] -> ()
+              | (_, link_enc) :: rest ->
+                incr scanned;
+                emit_hits scanned emit (probe_c link_enc);
+                go rest
+            in
+            go (probe_l parent_row)
+        else
+          fun parent_row emit ->
+            let links = probe_l parent_row in
+            if links <> [] then begin
+              let parent_dec =
+                if residual <> None || not no_attrs then Row.decode parent_row else [||]
+              in
+              List.iter
+                (fun (_, link_enc) ->
+                  incr scanned;
+                  let cands = probe_c link_enc in
+                  if cands <> [] then begin
+                    let link_row =
+                      if residual <> None || not no_attrs then Row.decode link_enc else [||]
                     in
                     List.iter
-                      (fun (_, link_enc) ->
+                      (fun (rowid, enc) ->
                         incr scanned;
-                        let cands = probe_c link_enc in
-                        if cands <> [] then begin
-                          let link_row =
-                            if residual <> None || not no_attrs then Row.decode link_enc else [||]
-                          in
-                          List.iter
-                            (fun (rowid, enc) ->
-                              incr scanned;
-                              let base_row = Row.decode enc in
-                              if child_ok base_row then begin
-                                if residual = None && no_attrs then emit rowid enc empty_enc
-                                else begin
-                                  let concat =
-                                    Row.concat (Row.concat parent_dec base_row) link_row
-                                  in
-                                  let keep =
-                                    match residual with
-                                    | None -> true
-                                    | Some p -> Value.is_true (Expr.eval_pred concat p)
-                                  in
-                                  if keep then emit rowid enc (eval_attrs concat)
-                                end
-                              end)
-                            cands
+                        let base_row = Row.decode enc in
+                        if child_ok base_row then begin
+                          if residual = None && no_attrs then emit rowid enc empty_enc
+                          else begin
+                            let concat =
+                              Row.concat (Row.concat parent_dec base_row) link_row
+                            in
+                            let keep =
+                              match residual with
+                              | None -> true
+                              | Some p -> Value.is_true (Expr.eval_pred concat p)
+                            in
+                            if keep then emit rowid enc (eval_attrs concat)
+                          end
                         end)
-                      links
-                  end),
-            scanned )
-      end
-    end
-  end
+                      cands
+                  end)
+                links
+            end),
+      scanned )
 
 (* the generic join tree for an edge, over [__tid]-bearing temps *)
 let edge_tree db (ed : Co_schema.edge_def) ~parent_temp ~child_temp =
@@ -923,35 +864,15 @@ let probe_edge_generic_fused db (ed : Co_schema.edge_def) ~parent_temp ~child_te
          (Value.as_int row.(0), Value.as_int row.(1), Array.sub row 2 (Array.length row - 2)))
   |> List.of_seq
 
-(* attribute output schema, shared by both probe paths *)
-let attr_schema_of db (ed : Co_schema.edge_def) ~parent_schema ~child_schema =
-  let pa = ed.Co_schema.ed_parent_alias and ca = ed.Co_schema.ed_child_alias in
-  let base = Schema.concat (Schema.requalify pa parent_schema) (Schema.requalify ca child_schema) in
-  let schema =
-    match ed.Co_schema.ed_using with
-    | None -> base
-    | Some (t, a) -> begin
-      match Catalog.table_opt (Db.catalog db) t with
-      | Some link -> Schema.concat base (Schema.requalify a (Table.schema link))
-      | None -> base
-    end
-  in
-  let env = Db.bind_env db in
-  Schema.make
-    (List.map
-       (fun (e, name) ->
-         let bound = Binder.bind_expr env schema e in
-         Schema.column name (Binder.infer_ty env schema bound))
-       ed.Co_schema.ed_attrs)
-
 (* ---- structural edge shapes ----
 
    The join structure of each relationship — which base table the child
    resolves to, which equality columns form the join key on either side,
-   whether an index serves the probe today — extracted with the same
-   conjunct classification the probers use. Shapes carry no closures or
-   data, only names: they exist for post-compile analysis (the static
-   plan advisor) which must reason about a plan without executing it. *)
+   whether an index serves the probe today — read off the edge's key
+   analysis. Shapes carry no closures or data, only names: they exist
+   for cost-based selection, servability ([Edge_cost.candidates]) and
+   post-compile analysis (the static plan advisor), which must reason
+   about a plan without executing it. *)
 
 type edge_shape = Edge_cost.edge_shape = {
   es_name : string;
@@ -976,96 +897,35 @@ type node_shape = Edge_cost.node_shape = {
 
 let col_name schema i = (Schema.col schema i).Schema.col_name
 
-let edge_shape_of db (ed : Co_schema.edge_def) ~(parent_schema : Schema.t)
-    ~(child : simple option) ~strategy : edge_shape =
+(* [keys] is the simple child with its key analysis (None: the child is
+   not simple and only the generic path applies); [indexed] whether the
+   indexed prober could be built *)
+let edge_shape_of (ed : Co_schema.edge_def) ~(parent_schema : Schema.t) ~keys ~indexed :
+    edge_shape =
   let base =
     { es_name = ed.Co_schema.ed_name; es_parent = ed.Co_schema.ed_parent;
-      es_child = ed.Co_schema.ed_child; es_strategy = strategy; es_child_table = None;
-      es_parent_cols = []; es_child_cols = []; es_using = None; es_indexed = false;
+      es_child = ed.Co_schema.ed_child; es_strategy = S_generic; es_child_table = None;
+      es_parent_cols = []; es_child_cols = []; es_using = None; es_indexed = indexed;
       es_residual = false }
   in
-  match child with
+  match keys with
   | None -> base
-  | Some child -> begin
-    let pa = ed.Co_schema.ed_parent_alias and ca = ed.Co_schema.ed_child_alias in
-    let child_base_schema = Table.schema child.s_table in
-    let conjuncts = edge_conjuncts ed in
-    let base = { base with es_child_table = Some (Table.name child.s_table) } in
-    match ed.Co_schema.ed_using with
-    | None ->
-      (* FK form: every equality parent.a = child.b joins the key (the
-         hash prober's view); indexed needs one such pair with an index *)
-      let classify (q, n) =
-        if qual_is pa q then Option.map (fun i -> `Parent i) (Schema.find_opt parent_schema n)
-        else if qual_is ca q then
-          Option.map (fun i -> `Child i) (Schema.find_opt child_base_schema n)
-        else None
-      in
-      let pairs = ref [] and residual = ref [] in
-      List.iter
-        (fun c ->
-          match c with
-          | Sql_ast.E_cmp (Expr.Eq, Sql_ast.E_col (qa, na), Sql_ast.E_col (qb, nb)) -> begin
-            match classify (qa, na), classify (qb, nb) with
-            | Some (`Parent p), Some (`Child ch) | Some (`Child ch), Some (`Parent p) ->
-              pairs := (p, ch) :: !pairs
-            | _ -> residual := c :: !residual
-          end
-          | c -> residual := c :: !residual)
-        conjuncts;
-      let pairs = List.rev !pairs in
-      let indexed =
-        List.exists
-          (fun (_, ch) -> Table.find_index child.s_table ~cols:[| ch |] <> None)
-          pairs
-      in
+  | Some (child, k) -> begin
+    let child_schema = Table.schema child.s_table in
+    let base =
+      { base with es_child_table = Some (Table.name child.s_table); es_residual = k.ek_residual <> [] }
+    in
+    match k.ek_key with
+    | Fk pairs ->
       { base with
-        es_parent_cols = List.map (fun (p, _) -> col_name parent_schema p) pairs;
-        es_child_cols = List.map (fun (_, ch) -> col_name child_base_schema ch) pairs;
-        es_indexed = indexed;
-        es_residual = !residual <> [] }
-    | Some (link_name, la) -> begin
-      match Catalog.table_opt (Db.catalog db) link_name with
-      | None -> base
-      | Some link ->
-        let link_schema = Table.schema link in
-        let la = String.lowercase_ascii la in
-        let classify (q, n) =
-          if qual_is pa q then Option.map (fun i -> `Parent i) (Schema.find_opt parent_schema n)
-          else if qual_is ca q then
-            Option.map (fun i -> `Child i) (Schema.find_opt child_base_schema n)
-          else if qual_is la q then Option.map (fun i -> `Link i) (Schema.find_opt link_schema n)
-          else None
-        in
-        let parent_bind = ref [] and child_bind = ref [] and residual = ref [] in
-        List.iter
-          (fun c ->
-            match c with
-            | Sql_ast.E_cmp (Expr.Eq, Sql_ast.E_col (qa, na), Sql_ast.E_col (qb, nb)) -> begin
-              match classify (qa, na), classify (qb, nb) with
-              | Some (`Link l), Some (`Parent p) | Some (`Parent p), Some (`Link l) ->
-                parent_bind := (l, p) :: !parent_bind
-              | Some (`Link l), Some (`Child ch) | Some (`Child ch), Some (`Link l) ->
-                child_bind := (l, ch) :: !child_bind
-              | _ -> residual := c :: !residual
-            end
-            | c -> residual := c :: !residual)
-          conjuncts;
-        let parent_bind = List.rev !parent_bind and child_bind = List.rev !child_bind in
-        let indexed =
-          parent_bind <> [] && child_bind <> []
-          && Table.find_index link ~cols:(Array.of_list (List.map fst parent_bind)) <> None
-          && Table.find_index child.s_table ~cols:(Array.of_list (List.map snd child_bind))
-             <> None
-        in
-        { base with
-          es_parent_cols = List.map (fun (_, p) -> col_name parent_schema p) parent_bind;
-          es_child_cols = List.map (fun (_, ch) -> col_name child_base_schema ch) child_bind;
-          es_using =
-            Some (Table.name link, List.map (fun (l, _) -> col_name link_schema l) parent_bind);
-          es_indexed = indexed;
-          es_residual = !residual <> [] }
-    end
+        es_parent_cols = List.map (fun (p, _, _) -> col_name parent_schema p) pairs;
+        es_child_cols = List.map (fun (_, ch, _) -> col_name child_schema ch) pairs }
+    | Using { link; parent_bind; child_bind } ->
+      { base with
+        es_parent_cols = List.map (fun (_, p) -> col_name parent_schema p) parent_bind;
+        es_child_cols = List.map (fun (_, ch) -> col_name child_schema ch) child_bind;
+        es_using =
+          Some (Table.name link, List.map (fun (l, _) -> col_name (Table.schema link) l) parent_bind) }
   end
 
 (* base tables a SELECT depends on (for staleness tracking) *)
@@ -1166,13 +1026,6 @@ type edge_plan = {
   ep_cands : edge_candidates;
 }
 
-(* the strategies the compiled closures can actually serve, in static
-   selection-priority order (indexed > batch hash > generic) *)
-let servable cands =
-  (if cands.ec_indexed <> None then [ S_indexed ] else [])
-  @ (if cands.ec_hash <> None then [ S_hash ] else [])
-  @ [ S_generic ]
-
 (** One adaptive mid-fixpoint strategy switch, recorded on the plan. *)
 type switch_rec = {
   sw_edge : string;
@@ -1238,36 +1091,38 @@ let compile_def ?(take = Xnf_ast.Take_star) ?force db (def : Co_schema.t) : comp
         def.Co_schema.co_edges
     |> List.sort_uniq compare
   in
-  (* every servable access path per edge, compiled up front (a probe path
-     over base rows needs a simple child; generic always applies) *)
+  (* per edge: one key analysis (a probe path over base rows needs a
+     simple child), the shape read off it, and every access path
+     [Edge_cost.candidates] lists for that shape, compiled up front;
+     generic always applies *)
   let source = source_memo () in
   let cand_edges =
     List.map
       (fun (ed : Co_schema.edge_def) ->
         let parent = node ed.Co_schema.ed_parent and child = node ed.Co_schema.ed_child in
-        let try_prober build =
-          match child.np_simple with
-          | None -> None
-          | Some c ->
+        let parent_schema = parent.np_schema in
+        let keys =
+          Option.map (fun c -> (c, analyze_keys db ed ~parent_schema ~child:c)) child.np_simple
+        in
+        let probe_path (_, k) (f, scanned) =
+          { bp_schema = attr_schema db ed k.ek_concat; bp_fn = f; bp_scanned = scanned }
+        in
+        let ec_indexed =
+          Option.bind keys (fun ((c, k) as ck) ->
+              Option.map (probe_path ck) (build_indexed_prober db ed k ~child:c))
+        in
+        let shape = edge_shape_of ed ~parent_schema ~keys ~indexed:(ec_indexed <> None) in
+        let ec_hash =
+          if List.mem S_hash (Edge_cost.candidates shape) then
             Option.map
-              (fun (f, scanned) ->
-                let attr_schema =
-                  attr_schema_of db ed ~parent_schema:parent.np_schema
-                    ~child_schema:(Table.schema c.s_table)
-                in
-                { bp_schema = attr_schema; bp_fn = f; bp_scanned = scanned })
-              (build db ed ~parent_schema:parent.np_schema ~child:c)
+              (fun ((c, k) as ck) -> probe_path ck (build_hash_prober ~source db ed k ~child:c))
+              keys
+          else None
         in
         let cands =
-          { ec_indexed = try_prober build_indexed_prober;
-            ec_hash = try_prober (build_hash_prober ~source);
+          { ec_indexed; ec_hash;
             ec_generic_schema =
-              attr_schema_of db ed ~parent_schema:parent.np_schema
-                ~child_schema:child.np_schema }
-        in
-        let shape =
-          edge_shape_of db ed ~parent_schema:parent.np_schema ~child:child.np_simple
-            ~strategy:S_generic
+              attr_schema db ed (concat_schema db ed ~parent_schema ~child_schema:child.np_schema) }
         in
         (ed, cands, shape))
       def.Co_schema.co_edges
@@ -1301,14 +1156,13 @@ let compile_def ?(take = Xnf_ast.Take_star) ?force db (def : Co_schema.t) : comp
   let edges =
     List.map
       (fun ((ed : Co_schema.edge_def), cands, shape0) ->
-        let avail = servable cands in
+        let avail = Edge_cost.candidates shape0 in
         let chosen =
           match force with
           | Some f -> if List.mem f avail then f else S_generic
           | None -> begin
             match List.assoc_opt ed.Co_schema.ed_name ests with
             | Some ee ->
-              stats.cost_picks <- stats.cost_picks + 1;
               Obs.Metrics.incr m_cost_picks;
               fst
                 (Edge_cost.best ee ~candidates:avail ~frontier:ee.Edge_cost.ee_frontier
@@ -1316,16 +1170,11 @@ let compile_def ?(take = Xnf_ast.Take_star) ?force db (def : Co_schema.t) : comp
             | None -> List.hd avail
           end
         in
-        (match chosen with
-        | S_indexed ->
-          stats.indexed_probes <- stats.indexed_probes + 1;
-          Obs.Metrics.incr m_indexed_probes
-        | S_hash ->
-          stats.hash_edges <- stats.hash_edges + 1;
-          Obs.Metrics.incr m_hash_edges
-        | S_generic ->
-          stats.generic_probes <- stats.generic_probes + 1;
-          Obs.Metrics.incr m_generic_probes);
+        Obs.Metrics.incr
+          (match chosen with
+          | S_indexed -> m_indexed_probes
+          | S_hash -> m_hash_edges
+          | S_generic -> m_generic_probes);
         ( (ed.Co_schema.ed_name, { ep_chosen = chosen; ep_cands = cands }),
           { shape0 with es_strategy = chosen } ))
       cand_edges
@@ -1505,18 +1354,6 @@ let execute_def ?(fixpoint = Semi_naive) ?(params = [||]) db (cp : compiled)
       def.Co_schema.co_edges
   in
   let buf_of name = List.assoc name conn_bufs in
-  (* phase allocation accounting, env-gated; [Gc.minor] drains the minor
-     heap so [Gc.allocated_bytes] is exact, not quantized *)
-  let dbg_alloc = Sys.getenv_opt "XNF_ALLOC_DEBUG" <> None in
-  let dbg_mark = ref (if dbg_alloc then (Gc.minor (); Gc.allocated_bytes ()) else 0.) in
-  let dbg phase =
-    if dbg_alloc then begin
-      Gc.minor ();
-      let now = Gc.allocated_bytes () in
-      Printf.eprintf "[alloc] %-12s %10.0f bytes\n%!" phase (now -. !dbg_mark);
-      dbg_mark := now
-    end
-  in
   (* 3–5 run under the "cache-fill" span: roots, reachability fixpoint,
      connection extents *)
   let edges =
@@ -1561,7 +1398,6 @@ let execute_def ?(fixpoint = Semi_naive) ?(params = [||]) db (cp : compiled)
   in
   let rt_edge name = List.assoc name edge_rts in
   (* 3. roots: set-oriented evaluation of the derivations *)
-  dbg "setup";
   Obs.Trace.with_span "roots" (fun () ->
       List.iter
         (fun (nd : Co_schema.node_def) ->
@@ -1587,7 +1423,6 @@ let execute_def ?(fixpoint = Semi_naive) ?(params = [||]) db (cp : compiled)
               x.x_rows);
           Obs.Trace.add_meta "rows" (string_of_int (Cache.live_count r.nr_ni)))
         (Co_schema.roots def));
-  dbg "roots";
   (* 4. reachability: semi-naive (or naive) fixpoint *)
   (* prober hits deliver the child's encoded BASE row; project to the
      node's output columns only when the tuple is first materialized. An
@@ -1682,7 +1517,7 @@ let execute_def ?(fixpoint = Semi_naive) ?(params = [||]) db (cp : compiled)
                      else ee.Edge_cost.ee_cand_fan) }
               in
               let target, _ =
-                Edge_cost.best observed ~candidates:(servable er.er_plan.ep_cands) ~frontier:f
+                Edge_cost.best observed ~candidates:(Edge_cost.candidates shape) ~frontier:f
                   ~conns:c
               in
               if target <> er.er_serving then begin
@@ -1691,7 +1526,6 @@ let execute_def ?(fixpoint = Semi_naive) ?(params = [||]) db (cp : compiled)
                 in
                 cp.cp_switches <-
                   sw :: List.filter (fun s -> s.sw_edge <> name) cp.cp_switches;
-                stats.strategy_switches <- stats.strategy_switches + 1;
                 Obs.Metrics.incr m_strategy_switches;
                 set_serving er target
               end
@@ -1704,7 +1538,6 @@ let execute_def ?(fixpoint = Semi_naive) ?(params = [||]) db (cp : compiled)
   while !changed do
     changed := false;
     incr round;
-    stats.fixpoint_rounds <- stats.fixpoint_rounds + 1;
     Obs.Metrics.incr m_rounds;
     (* snapshot this round's slice per node; tuples created during the
        round land beyond [nr_limit] and become the next round's slice *)
@@ -1732,7 +1565,6 @@ let execute_def ?(fixpoint = Semi_naive) ?(params = [||]) db (cp : compiled)
           | Naive -> List.length naive_set
         in
         if n_probes > 0 then begin
-          stats.tuples_probed <- stats.tuples_probed + n_probes;
           Obs.Metrics.incr ~by:n_probes m_tuples_probed;
           let er = rt_edge ed.Co_schema.ed_name in
           er.er_probed <- er.er_probed + n_probes;
@@ -1766,10 +1598,7 @@ let execute_def ?(fixpoint = Semi_naive) ?(params = [||]) db (cp : compiled)
           let t0 = Obs.Metrics.now_ns () in
           (match er.er_probe with
           | Some probe ->
-            if er.er_serving = S_hash then begin
-              stats.hash_probes <- stats.hash_probes + 1;
-              Obs.Metrics.incr m_hash_probes
-            end;
+            if er.er_serving = S_hash then Obs.Metrics.incr m_hash_probes;
             probe_batch probe
           | None ->
             let child_temp = ensure_temp db child_rt in
@@ -1820,10 +1649,8 @@ let execute_def ?(fixpoint = Semi_naive) ?(params = [||]) db (cp : compiled)
   done
   in
   Obs.Trace.with_span "fixpoint" (fun () ->
-      let round0 = stats.fixpoint_rounds in
       run_fixpoint ();
-      Obs.Trace.add_meta "rounds" (string_of_int (stats.fixpoint_rounds - round0)));
-  dbg "fixpoint";
+      Obs.Trace.add_meta "rounds" (string_of_int !round));
   (* 5. connection extents over the reached instance: the matches were
      already produced during reachability — this is a readout of the
      per-edge buffers, no further query runs *)
@@ -1851,7 +1678,6 @@ let execute_def ?(fixpoint = Semi_naive) ?(params = [||]) db (cp : compiled)
             ei_adj = None; ei_upd = Semantic.Upd_readonly "pending analysis" } ))
       edge_defs
   in
-  dbg "connections";
   edges
   in
   (* 6. staleness bookkeeping (table set precomputed at compile time) *)
@@ -1898,17 +1724,8 @@ let execute_def ?(fixpoint = Semi_naive) ?(params = [||]) db (cp : compiled)
             end
           done)
       path_restrs;
-    dbg "restrictions";
-    Cache.recompute_reachability cache;
-    dbg "reachability");
-  dbg "tail";
+    Cache.recompute_reachability cache);
   cache
-
-(** [fetch_def ?force ~fixpoint db def path_restrs] compiles and
-    immediately executes a composed CO definition — the one-shot path.
-    [force] pins access-path selection (differential testing). *)
-let fetch_def ?force ~fixpoint db (def : Co_schema.t) (path_restrs : restriction list) : Cache.t =
-  execute_def ~fixpoint db (compile_def ?force db def) path_restrs
 
 (* column projection, then relationship-updatability and locked-column
    analysis against the final (projected) schemas *)

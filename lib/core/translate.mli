@@ -8,10 +8,13 @@
       graph (DAGs converge in one topological sweep, recursive schemas
       iterate); the naive re-probing variant is selectable for the E6
       ablation;
-    - each relationship probe is access-path selected: FK-equality and
-      indexed USING patterns run as index-nested-loop probes, everything
-      else as generic QGM plans through the relational engine (rewrite and
-      plan optimization included);
+    - each relationship's predicate is analyzed once into its join key
+      (FK pairs or USING link bindings, plus residual conjuncts), and each
+      probe is access-path selected from it: FK-equality and indexed USING
+      patterns run as index-nested-loop probes, other keyed edges over a
+      simple child as batch hash probes against version-cached builds,
+      everything else as generic QGM plans through the relational engine
+      (rewrite and plan optimization included);
     - non-root extents are lazy: only reached tuples materialize;
     - connection extents are produced by the reachability probes
       themselves (the naive variant keeps its last round's);
@@ -35,23 +38,14 @@ type strategy = Edge_cost.strategy = S_indexed | S_hash | S_generic
     [\plans]: ["indexed"], ["hash-batch"] or ["generic"]. *)
 val strategy_name : strategy -> string
 
-(** Statistics of translation activity since the last {!reset_stats}. *)
-type stats = {
-  mutable queries_issued : int;  (** relational queries / batch probes run *)
-  mutable fixpoint_rounds : int;
-  mutable tuples_probed : int;  (** total frontier sizes fed to edge probes *)
-  mutable indexed_probes : int;  (** edges served by index-nested-loop probes *)
-  mutable generic_probes : int;  (** edges served by generic join plans *)
-  mutable hash_edges : int;  (** edges served by batch hash probes *)
-  mutable hash_builds : int;  (** hash tables built over child/link extents *)
-  mutable hash_build_reuses : int;  (** builds skipped: cached table still version-valid *)
-  mutable hash_probes : int;  (** batch hash probe passes run *)
-  mutable cost_picks : int;  (** edges whose strategy came from the cost model *)
-  mutable strategy_switches : int;  (** adaptive mid-fixpoint strategy switches *)
-}
-
-val stats : stats
-val reset_stats : unit -> unit
+(** Translation activity is counted in the process-global metrics
+    registry ([Obs.Metrics]) only, under [xnf.translate.*]: [queries]
+    (relational queries and batch probe passes run), [rounds],
+    [tuples_probed] (frontier sizes fed to edge probes),
+    [indexed_probes] / [hash_edges] / [generic_probes] (edges compiled
+    onto each access path), [hash_builds], [hash_build_reuses],
+    [hash_probes], [cost_picks] and [strategy_switches]. Readers take
+    deltas ([Obs.Metrics.since]). *)
 
 (** {2 Adaptive mid-fixpoint fallback knobs}
 
@@ -90,8 +84,8 @@ type compiled
     [TAKE *]) also precomputes the final post-projection updatability
     analysis for {!finalize_plan}. [force] pins selection to one strategy
     (differential testing, per-strategy benches) and always wins over the
-    cost model; edges the forced strategy cannot serve fall back to the
-    generic path. *)
+    cost model; edges the forced strategy cannot serve (it is not among
+    their [Edge_cost.candidates]) fall back to the generic path. *)
 val compile_def : ?take:Xnf_ast.take -> ?force:strategy -> Db.t -> Co_schema.t -> compiled
 
 (** [edge_strategies cp] is the access path selected per relationship at
@@ -122,8 +116,10 @@ val cost_based : compiled -> bool
 (** The structural join shape of one relationship as compiled: which base
     table the child resolves to, the equality join columns on either
     side, USING link bindings, and whether an index chain serves the
-    probe. No closures, no data — extracted for post-compile analysis
-    (the static plan advisor, [Check.Plan_advisor]). *)
+    probe. No closures, no data — read off the edge's one join-key
+    analysis; [Edge_cost.candidates] over it is the edge's servability,
+    and post-compile analysis (the static plan advisor,
+    [Check.Plan_advisor]) reasons over it. *)
 type edge_shape = Edge_cost.edge_shape = {
   es_name : string;
   es_parent : string;  (** parent node name *)
@@ -179,13 +175,6 @@ val execute_def :
   compiled ->
   Xnf_ast.restriction list ->
   Cache.t
-
-(** [fetch_def ?force ~fixpoint db def path_restrs] compiles and
-    immediately executes an already composed CO definition (before TAKE
-    projection and final updatability analysis) — used by {!fetch}, the
-    baselines and the strategy-differential fuzz oracle. *)
-val fetch_def :
-  ?force:strategy -> fixpoint:fixpoint -> Db.t -> Co_schema.t -> Xnf_ast.restriction list -> Cache.t
 
 (** [finalize db cache] applies column projection and the final
     relationship-updatability / locked-column analysis. *)

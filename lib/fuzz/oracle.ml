@@ -418,7 +418,7 @@ let run ?(advise = false) ?mutation ?extra_restr (sc : Gen.scenario) : outcome =
              derivation oracles are defined on *)
           let pre = ref None in
           guard "pre" (fun () ->
-              pre := Some (Translate.fetch_def ~fixpoint:Translate.Semi_naive db def []));
+              pre := Some (Translate.execute_def db (Translate.compile_def db def) []));
           let flags =
             match !pre with
             | None -> flags
@@ -466,9 +466,7 @@ let run ?(advise = false) ?mutation ?extra_restr (sc : Gen.scenario) : outcome =
                 (fun (label, force) ->
                   let kind = "strategy-" ^ label in
                   guard kind (fun () ->
-                      let alt =
-                        Translate.fetch_def ~force ~fixpoint:Translate.Semi_naive db def []
-                      in
+                      let alt = Translate.execute_def db (Translate.compile_def ~force db def) [] in
                       (match compare_caches pre alt with
                       | Some d -> add kind d
                       | None -> ());

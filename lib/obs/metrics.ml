@@ -49,6 +49,13 @@ let counter_value c = c.c_value
 let counter_get name =
   match Hashtbl.find_opt counters name with Some c -> c.c_value | None -> 0
 
+(** [since ()] snapshots every counter and returns a reader of counter
+    growth since the snapshot, so callers diff windows without [reset]. *)
+let since () =
+  let snap = Hashtbl.create 64 in
+  Hashtbl.iter (fun name c -> Hashtbl.replace snap name c.c_value) counters;
+  fun name -> counter_get name - Option.value ~default:0 (Hashtbl.find_opt snap name)
+
 (** [gauge name] registers (or finds) the gauge [name]. *)
 let gauge name =
   match Hashtbl.find_opt gauges name with

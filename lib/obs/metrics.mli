@@ -29,6 +29,12 @@ val counter_value : counter -> int
     registered. *)
 val counter_get : string -> int
 
+(** [since ()] snapshots every counter; the returned function maps a
+    counter name to its growth since the snapshot (0 for a counter that
+    has not moved), so tests, benches and the shell diff windows without
+    {!reset}. A {!reset} inside the window makes deltas negative. *)
+val since : unit -> string -> int
+
 (** [gauge name] registers (or finds) the gauge [name]. *)
 val gauge : string -> gauge
 

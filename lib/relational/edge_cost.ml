@@ -204,11 +204,16 @@ type edge_est = {
   ee_cand_fan : float;  (** est. candidate rows scanned per index probe *)
 }
 
-(** [candidates es] are the strategies the compiled shape could support,
-    in static selection-priority order. *)
+(** [candidates es] are the strategies that can serve the edge, in
+    static selection-priority order — the one servability definition the
+    planner, the adaptive re-pick and the advisor share. Hash needs a
+    simple child and key columns on both sides (a USING edge whose link
+    binds no parent column has no probe key). *)
 let candidates (es : edge_shape) : strategy list =
   (if es.es_indexed then [ S_indexed ] else [])
-  @ (if es.es_child_table <> None && es.es_child_cols <> [] then [ S_hash ] else [])
+  @ (if es.es_child_table <> None && es.es_parent_cols <> [] && es.es_child_cols <> [] then
+       [ S_hash ]
+     else [])
   @ [ S_generic ]
 
 (** [cost_of ee ~frontier ~conns s] is the estimated row cost of serving

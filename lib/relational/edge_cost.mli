@@ -79,8 +79,11 @@ type edge_est = {
   ee_cand_fan : float;  (** est. candidate rows scanned per index probe *)
 }
 
-(** [candidates es] are the strategies the compiled shape could support,
-    in static selection-priority order. *)
+(** [candidates es] are the strategies that can serve the edge, in
+    static selection-priority order: indexed when [es_indexed], hash when
+    the child is simple and the key has columns on both sides, generic
+    always. The planner ([compile_def] and its adaptive re-pick) and the
+    plan advisor all read servability from here. *)
 val candidates : edge_shape -> strategy list
 
 (** [cost_of ee ~frontier ~conns s] is the estimated row cost of serving

@@ -83,6 +83,34 @@ let test_plan300_quiet_when_small () =
   Alcotest.(check bool) "no PLAN300 on tiny tables" false
     (List.mem "PLAN300" (codes (analyze api q_works)))
 
+(* a USING edge whose link binds no parent column (the parent side of
+   [p0.k + 0 = l.pk] is an expression, so the conjunct stays residual)
+   has no probe key: no index can make it indexed, so it must draw no
+   PLAN300 — in particular no column-less CREATE INDEX hint *)
+let test_plan300_using_no_parent_key () =
+  let db = Db.create () in
+  execs db
+    [ "CREATE TABLE sp (k INTEGER PRIMARY KEY, f INTEGER)";
+      "CREATE TABLE sc (k INTEGER PRIMARY KEY, fk INTEGER)";
+      "CREATE TABLE slink (pk INTEGER, ck INTEGER)";
+      "INSERT INTO sp VALUES " ^ values_row (fun i -> Printf.sprintf "(%d, %d)" i i) 0 9;
+      "INSERT INTO sc VALUES " ^ values_row (fun i -> Printf.sprintf "(%d, %d)" i (i mod 10)) 0 99;
+      "INSERT INTO slink VALUES " ^ values_row (fun i -> Printf.sprintf "(%d, %d)" (i mod 10) i) 0 99;
+      "ANALYZE" ];
+  let api = Xnf.Api.create db in
+  let q =
+    "OUT OF p0 AS (SELECT * FROM sp), c0 AS (SELECT * FROM sc), \
+     e0 AS (RELATE p0, c0 USING slink l WHERE (p0.k + 0 = l.pk AND l.ck = c0.k)) TAKE *"
+  in
+  let rp = analyze api q in
+  (match rp.Check.Plan_advisor.rp_edges with
+  | [ ec ] ->
+    (* the edge is costly enough that a keyed edge would be flagged *)
+    Alcotest.(check bool) "above the probe threshold" true (ec.Check.Plan_advisor.ec_cost >= 1000.)
+  | _ -> Alcotest.fail "expected one edge");
+  Alcotest.(check bool) "no PLAN300 without a parent-side key" false
+    (List.mem "PLAN300" (codes rp))
+
 (* ---- PLAN301: ?force contradicting the estimate ---- *)
 
 let test_plan301 () =
@@ -293,6 +321,8 @@ let test_sys_advisories () =
 let suite =
   [ Alcotest.test_case "plan300 missing index" `Quick test_plan300;
     Alcotest.test_case "plan300 quiet on small extents" `Quick test_plan300_quiet_when_small;
+    Alcotest.test_case "plan300 quiet on a keyless USING edge" `Quick
+      test_plan300_using_no_parent_key;
     Alcotest.test_case "plan301 force contradiction" `Quick test_plan301;
     Alcotest.test_case "plan302 unbounded recursion" `Quick test_plan302;
     Alcotest.test_case "plan303 dead components" `Quick test_plan303;

@@ -36,9 +36,9 @@ let test_unshared_issues_more_queries () =
   let db, api = mk () in
   let q = Xnf.Xnf_parser.parse_query "OUT OF ALL-DEPS-ORG TAKE *" in
   let def, _, _ = compose api q in
-  Xnf.Translate.reset_stats ();
+  let d = Obs.Metrics.since () in
   ignore (Xnf.Api.fetch api q);
-  let shared_queries = Xnf.Translate.stats.Xnf.Translate.queries_issued in
+  let shared_queries = d "xnf.translate.queries" in
   let naive = Baseline.Naive_translate.extract_unshared db def in
   Alcotest.(check bool) "naive recomputes" true
     (naive.Baseline.Naive_translate.queries_issued >= shared_queries)

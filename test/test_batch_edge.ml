@@ -8,7 +8,10 @@
 open Relational
 open Workload
 
-let s = Xnf.Translate.stats
+(* xnf.translate.* counter growth since the last [mark ()] *)
+let window = ref (Obs.Metrics.since ())
+let mark () = window := Obs.Metrics.since ()
+let tr name = !window ("xnf.translate." ^ name)
 
 let compose api q =
   let def, restrs, _take =
@@ -87,10 +90,10 @@ let test_forced_strategies_agree () =
   let api = mk_matrix_api () in
   let db = Xnf.Api.db api in
   let def, restrs = compose api q_matrix in
-  let base = Xnf.Translate.fetch_def ~fixpoint:Xnf.Translate.Semi_naive db def restrs in
+  let base = Xnf.Translate.execute_def db (Xnf.Translate.compile_def db def) restrs in
   List.iter
     (fun force ->
-      let alt = Xnf.Translate.fetch_def ~force ~fixpoint:Xnf.Translate.Semi_naive db def restrs in
+      let alt = Xnf.Translate.execute_def db (Xnf.Translate.compile_def ~force db def) restrs in
       match Fuzz.Oracle.compare_caches base alt with
       | None -> ()
       | Some d -> Alcotest.failf "%s diverged: %s" (Xnf.Translate.strategy_name force) d)
@@ -104,20 +107,20 @@ let test_one_pass_chain_counters () =
   let db = Db.create () in
   Chain.populate ~indexes:false db ~seed:7 ~depth:2 ~n_roots:2 ~fanout:2;
   let api = Xnf.Api.create db in
-  Xnf.Translate.reset_stats ();
+  mark ();
   let cache = Xnf.Api.fetch_string api (Chain.co_query ~depth:2) in
   Alcotest.(check int) "x0 roots" 2 (node_count cache "x0");
   Alcotest.(check int) "x1 reached" 4 (node_count cache "x1");
   Alcotest.(check int) "x2 reached" 8 (node_count cache "x2");
   Alcotest.(check int) "link1 conns" 4 (conn_count cache "link1");
   Alcotest.(check int) "link2 conns" 8 (conn_count cache "link2");
-  Alcotest.(check int) "exactly one pass: roots + 2 builds + 2 probe passes" 5 s.queries_issued;
-  Alcotest.(check int) "hash edges selected" 2 s.hash_edges;
-  Alcotest.(check int) "one build per edge" 2 s.hash_builds;
-  Alcotest.(check int) "no reuse on a cold fetch" 0 s.hash_build_reuses;
-  Alcotest.(check int) "one batch pass per edge" 2 s.hash_probes;
-  Alcotest.(check int) "rounds" 3 s.fixpoint_rounds;
-  Alcotest.(check int) "frontier sizes: 2 roots + 4 mid" 6 s.tuples_probed
+  Alcotest.(check int) "exactly one pass: roots + 2 builds + 2 probe passes" 5 (tr "queries");
+  Alcotest.(check int) "hash edges selected" 2 (tr "hash_edges");
+  Alcotest.(check int) "one build per edge" 2 (tr "hash_builds");
+  Alcotest.(check int) "no reuse on a cold fetch" 0 (tr "hash_build_reuses");
+  Alcotest.(check int) "one batch pass per edge" 2 (tr "hash_probes");
+  Alcotest.(check int) "rounds" 3 (tr "rounds");
+  Alcotest.(check int) "frontier sizes: 2 roots + 4 mid" 6 (tr "tuples_probed")
 
 (* the indexed path is fused too: the same chain with FK indexes must not
    re-probe full extents after the fixpoint (1 roots query + 2 probe
@@ -126,11 +129,11 @@ let test_one_pass_indexed_counters () =
   let db = Db.create () in
   Chain.populate ~indexes:true db ~seed:7 ~depth:2 ~n_roots:2 ~fanout:2;
   let api = Xnf.Api.create db in
-  Xnf.Translate.reset_stats ();
+  mark ();
   let cache = Xnf.Api.fetch_string api (Chain.co_query ~depth:2) in
   Alcotest.(check int) "link2 conns" 8 (conn_count cache "link2");
-  Alcotest.(check int) "indexed edges selected" 2 s.indexed_probes;
-  Alcotest.(check int) "exactly one pass: roots + 2 probe passes" 3 s.queries_issued
+  Alcotest.(check int) "indexed edges selected" 2 (tr "indexed_probes");
+  Alcotest.(check int) "exactly one pass: roots + 2 probe passes" 3 (tr "queries")
 
 (* recursive CO over an unindexed management tree: per-round batch passes,
    and both edges probe the one build over memp's mgrno *)
@@ -139,18 +142,18 @@ let test_recursive_tree_counters () =
   let n = Chain.mgmt_tree ~indexes:false db ~levels:3 ~fanout:2 in
   Alcotest.(check int) "tree size" 7 n;
   let api = Xnf.Api.create db in
-  Xnf.Translate.reset_stats ();
+  mark ();
   let cache = Xnf.Api.fetch_string api Chain.mgmt_query in
   Alcotest.(check int) "root extracted" 1 (node_count cache "xroot");
   Alcotest.(check int) "subordinates reached" 6 (node_count cache "xemp");
   Alcotest.(check int) "top conns" 2 (conn_count cache "top");
   Alcotest.(check int) "manages conns" 4 (conn_count cache "manages");
-  Alcotest.(check int) "both edges batch hash" 2 s.hash_edges;
-  Alcotest.(check int) "one shared build over memp" 1 s.hash_builds;
-  Alcotest.(check int) "top r1; manages r2, r3" 3 s.hash_probes;
-  Alcotest.(check int) "rounds = tree levels" 3 s.fixpoint_rounds;
-  Alcotest.(check int) "roots + 1 build + 3 passes" 5 s.queries_issued;
-  Alcotest.(check int) "frontier sizes 1 + 2 + 4" 7 s.tuples_probed
+  Alcotest.(check int) "both edges batch hash" 2 (tr "hash_edges");
+  Alcotest.(check int) "one shared build over memp" 1 (tr "hash_builds");
+  Alcotest.(check int) "top r1; manages r2, r3" 3 (tr "hash_probes");
+  Alcotest.(check int) "rounds = tree levels" 3 (tr "rounds");
+  Alcotest.(check int) "roots + 1 build + 3 passes" 5 (tr "queries");
+  Alcotest.(check int) "frontier sizes 1 + 2 + 4" 7 (tr "tuples_probed")
 
 (* closure-shaped plan: both edges hash memp on mgrno through one shared
    build, so one SQL INSERT into memp costs the next execution exactly one
@@ -187,15 +190,15 @@ let test_using_chained_builds () =
   in
   Alcotest.(check strat) "USING without indexes -> batch hash" Xnf.Translate.S_hash
     (List.assoc "taking" (strategies_of api q));
-  Xnf.Translate.reset_stats ();
+  mark ();
   let cache = Xnf.Api.fetch_string api q in
   Alcotest.(check int) "courses reached" 2 (node_count cache "xc");
   Alcotest.(check int) "enrollments" 3 (conn_count cache "taking");
-  Alcotest.(check int) "link + child builds" 2 s.hash_builds;
-  Alcotest.(check int) "one batch pass" 1 s.hash_probes;
+  Alcotest.(check int) "link + child builds" 2 (tr "hash_builds");
+  Alcotest.(check int) "one batch pass" 1 (tr "hash_probes");
   (* 1 roots query + 2 builds + 1 pass; the connections readout is free *)
-  Alcotest.(check int) "queries" 4 s.queries_issued;
-  Alcotest.(check int) "only the student frontier is probed" 2 s.tuples_probed
+  Alcotest.(check int) "queries" 4 (tr "queries");
+  Alcotest.(check int) "only the student frontier is probed" 2 (tr "tuples_probed")
 
 (* ---- build reuse across warm executions ---- *)
 
@@ -205,19 +208,19 @@ let test_build_reuse_plan_cache () =
   let api = Xnf.Api.create db in
   Xnf.Api.set_plan_cache api 8;
   let q = Chain.co_query ~depth:1 in
-  Xnf.Translate.reset_stats ();
+  mark ();
   ignore (Xnf.Api.fetch_string api q);
-  Alcotest.(check int) "cold: one build" 1 s.hash_builds;
-  Alcotest.(check int) "cold: no reuse" 0 s.hash_build_reuses;
+  Alcotest.(check int) "cold: one build" 1 (tr "hash_builds");
+  Alcotest.(check int) "cold: no reuse" 0 (tr "hash_build_reuses");
   ignore (Xnf.Api.fetch_string api q);
   ignore (Xnf.Api.fetch_string api q);
-  Alcotest.(check int) "warm plan-cache hits rebuild nothing" 1 s.hash_builds;
-  Alcotest.(check int) "one reuse per warm fetch" 2 s.hash_build_reuses;
+  Alcotest.(check int) "warm plan-cache hits rebuild nothing" 1 (tr "hash_builds");
+  Alcotest.(check int) "one reuse per warm fetch" 2 (tr "hash_build_reuses");
   (* DML on the child table bumps its version: same plan, fresh build *)
   ignore (Db.exec db "INSERT INTO t1 VALUES (99, 0, 5)");
   let cache = Xnf.Api.fetch_string api q in
-  Alcotest.(check int) "stale build rebuilt" 2 s.hash_builds;
-  Alcotest.(check int) "no bogus reuse" 2 s.hash_build_reuses;
+  Alcotest.(check int) "stale build rebuilt" 2 (tr "hash_builds");
+  Alcotest.(check int) "no bogus reuse" 2 (tr "hash_build_reuses");
   Alcotest.(check int) "new child visible" 5 (node_count cache "x1")
 
 let test_build_reuse_prepared_execute () =
@@ -225,12 +228,12 @@ let test_build_reuse_prepared_execute () =
   Chain.populate ~indexes:false db ~seed:3 ~depth:1 ~n_roots:2 ~fanout:2;
   let api = Xnf.Api.create db in
   Xnf.Api.prepare api ~name:"p" (Xnf.Xnf_parser.parse_query (Chain.co_query ~depth:1));
-  Xnf.Translate.reset_stats ();
+  mark ();
   ignore (Xnf.Api.execute_prepared api "p" []);
   ignore (Xnf.Api.execute_prepared api "p" []);
   ignore (Xnf.Api.execute_prepared api "p" []);
-  Alcotest.(check int) "EXECUTE builds once" 1 s.hash_builds;
-  Alcotest.(check int) "then reuses" 2 s.hash_build_reuses
+  Alcotest.(check int) "EXECUTE builds once" 1 (tr "hash_builds");
+  Alcotest.(check int) "then reuses" 2 (tr "hash_build_reuses")
 
 (* USING reuse is per source: DML on the link table rebuilds only it *)
 let test_using_partial_invalidation () =
@@ -249,13 +252,13 @@ let test_using_partial_invalidation () =
     "OUT OF Xs AS STU, Xc AS CRS, \
      taking AS (RELATE Xs, Xc USING ENR en WHERE Xs.sno = en.esno AND en.ecno = Xc.cno) TAKE *"
   in
-  Xnf.Translate.reset_stats ();
+  mark ();
   ignore (Xnf.Api.fetch_string api q);
-  Alcotest.(check int) "cold: link + child builds" 2 s.hash_builds;
+  Alcotest.(check int) "cold: link + child builds" 2 (tr "hash_builds");
   ignore (Db.exec db "INSERT INTO enr VALUES (1, 20)");
   let cache = Xnf.Api.fetch_string api q in
-  Alcotest.(check int) "only the link build refreshed" 3 s.hash_builds;
-  Alcotest.(check int) "child build reused" 1 s.hash_build_reuses;
+  Alcotest.(check int) "only the link build refreshed" 3 (tr "hash_builds");
+  Alcotest.(check int) "child build reused" 1 (tr "hash_build_reuses");
   Alcotest.(check int) "new enrollment delivered" 2 (conn_count cache "taking")
 
 (* ---- frontier dedup under instance sharing ---- *)
@@ -283,15 +286,15 @@ let test_shared_child_probed_once () =
      bd AS (RELATE Xb, Xd WHERE Xb.kb = Xd.pb), \
      cd AS (RELATE Xc, Xd WHERE Xc.kc = Xd.pc) TAKE *"
   in
-  Xnf.Translate.reset_stats ();
+  mark ();
   let cache = Xnf.Api.fetch_string api q in
   Alcotest.(check int) "d delivered once" 1 (node_count cache "xd");
   Alcotest.(check int) "bd conn present" 1 (conn_count cache "bd");
   Alcotest.(check int) "cd conn present" 1 (conn_count cache "cd");
   (* round 1: a probes ab and ac (2); round 2: b probes bd, c probes cd
      (2); the shared d is pushed once and has no outgoing edge *)
-  Alcotest.(check int) "no duplicate frontier pushes" 4 s.tuples_probed;
-  Alcotest.(check int) "rounds" 3 s.fixpoint_rounds
+  Alcotest.(check int) "no duplicate frontier pushes" 4 (tr "tuples_probed");
+  Alcotest.(check int) "rounds" 3 (tr "rounds")
 
 (* ---- EXPLAIN ANALYZE / \plans surface the strategy ---- *)
 

@@ -7,7 +7,7 @@
 
 open Relational
 
-let s = Xnf.Translate.stats
+let switches () = Obs.Metrics.counter_get "xnf.translate.strategy_switches"
 
 let execs db stmts = List.iter (fun stmt -> ignore (Db.exec db stmt)) stmts
 
@@ -127,11 +127,11 @@ let test_force_wins_over_cost () =
   Alcotest.(check strat) "?force=indexed honored despite the stats" Xnf.Translate.S_indexed
     (List.assoc "e0" (Xnf.Translate.edge_strategies cp));
   (* and adaptive switching must leave a forced plan alone *)
-  let b0 = s.Xnf.Translate.strategy_switches in
+  let b0 = switches () in
   let _ =
     with_adaptive ~factor:1. ~min_rows:1 (fun () -> Xnf.Translate.execute_def db cp restrs)
   in
-  Alcotest.(check int) "no switch on a forced plan" b0 s.Xnf.Translate.strategy_switches;
+  Alcotest.(check int) "no switch on a forced plan" b0 (switches ());
   Alcotest.(check (list switch_t)) "no switch recorded" [] (Xnf.Translate.switches cp)
 
 (* ---- adaptive fallback ---- *)
@@ -145,9 +145,9 @@ let test_adaptive_switch_fires () =
     (List.assoc "e0" (Xnf.Translate.edge_strategies cp));
   (* inject drift AFTER compile: estimates stand, reality moved *)
   drift db;
-  let b0 = s.Xnf.Translate.strategy_switches in
+  let b0 = switches () in
   let cache = Xnf.Translate.execute_def db cp restrs in
-  Alcotest.(check int) "exactly one switch" (b0 + 1) s.Xnf.Translate.strategy_switches;
+  Alcotest.(check int) "exactly one switch" (b0 + 1) (switches ());
   (match Xnf.Translate.switches cp with
   | [ sw ] ->
     Alcotest.(check string) "switched edge" "e0" sw.Xnf.Translate.sw_edge;
@@ -158,7 +158,7 @@ let test_adaptive_switch_fires () =
   Alcotest.(check strat) "effective strategy reflects the switch" Xnf.Translate.S_hash
     (List.assoc "e0" (Xnf.Translate.effective_strategies cp));
   (* the switched execution still delivers the correct instance *)
-  let oracle = Xnf.Translate.fetch_def ~force:Xnf.Translate.S_generic ~fixpoint:Xnf.Translate.Semi_naive db def restrs in
+  let oracle = Xnf.Translate.execute_def db (Xnf.Translate.compile_def ~force:Xnf.Translate.S_generic db def) restrs in
   (match Fuzz.Oracle.compare_caches oracle cache with
   | None -> ()
   | Some d -> Alcotest.failf "switched instance diverged: %s" d)
@@ -168,11 +168,11 @@ let test_adaptive_quiet_within_tolerance () =
   ignore (Db.exec db "ANALYZE");
   let def, restrs = compose api q_skew in
   let cp = Xnf.Translate.compile_def db def in
-  let b0 = s.Xnf.Translate.strategy_switches in
+  let b0 = switches () in
   (* no drift: observed counters match the estimates, nothing may fire
      even at the default thresholds *)
   let _ = Xnf.Translate.execute_def db cp restrs in
-  Alcotest.(check int) "no switch without drift" b0 s.Xnf.Translate.strategy_switches;
+  Alcotest.(check int) "no switch without drift" b0 (switches ());
   Alcotest.(check int) "switch list empty" 0 (List.length (Xnf.Translate.switches cp));
   Alcotest.(check strat) "effective = compiled" Xnf.Translate.S_indexed
     (List.assoc "e0" (Xnf.Translate.effective_strategies cp))
@@ -187,14 +187,14 @@ let test_switch_reused_next_execution () =
   Alcotest.(check int) "switched once" 1 (List.length (Xnf.Translate.switches cp));
   (* a warm re-execution of the same plan starts from the switched
      strategy: the drift is already served by hash, so no new switch *)
-  let b0 = s.Xnf.Translate.strategy_switches in
+  let b0 = switches () in
   let cache = Xnf.Translate.execute_def db cp restrs in
-  Alcotest.(check int) "no re-switch on the warm run" b0 s.Xnf.Translate.strategy_switches;
+  Alcotest.(check int) "no re-switch on the warm run" b0 (switches ());
   Alcotest.(check int) "still exactly one switch recorded" 1
     (List.length (Xnf.Translate.switches cp));
   Alcotest.(check strat) "hash still effective" Xnf.Translate.S_hash
     (List.assoc "e0" (Xnf.Translate.effective_strategies cp));
-  let oracle = Xnf.Translate.fetch_def ~force:Xnf.Translate.S_generic ~fixpoint:Xnf.Translate.Semi_naive db def restrs in
+  let oracle = Xnf.Translate.execute_def db (Xnf.Translate.compile_def ~force:Xnf.Translate.S_generic db def) restrs in
   (match Fuzz.Oracle.compare_caches oracle cache with
   | None -> ()
   | Some d -> Alcotest.failf "warm switched instance diverged: %s" d)
@@ -238,6 +238,77 @@ let test_point_root_adaptive_keeps_hash () =
   Alcotest.(check strat) "e0 served by hash-batch" Xnf.Translate.S_hash
     (List.assoc "e0" (Xnf.Fetch_plan.effective_strategies plan));
   Alcotest.(check (list switch_t)) "no switch recorded" [] (Xnf.Fetch_plan.switches plan)
+
+(* ---- one servability definition ----
+
+   [Edge_cost.candidates] over an edge's shape is the only definition of
+   which strategies can serve it; a ?force pin an edge cannot serve falls
+   back to generic. Over every edge of the convergence corpus, plus a
+   USING edge whose link binds no parent column (hash has no probe key
+   there), the strategies a forced compile keeps must be exactly the
+   candidates, and every forced plan must deliver the generic instance. *)
+
+let all_strategies = Xnf.Translate.[ S_indexed; S_hash; S_generic ]
+
+(* one convergence group on a fresh database: its setup run, its
+   OUT OF formulations returned *)
+let load_group path =
+  let lines =
+    In_channel.with_open_text path In_channel.input_all
+    |> String.split_on_char '\n' |> List.map String.trim
+  in
+  let is_query = String.starts_with ~prefix:"OUT OF" in
+  let db = Db.create () in
+  let api = Xnf.Api.create db in
+  List.iter
+    (fun l ->
+      if l <> "" && not (String.starts_with ~prefix:"--" l || is_query l) then
+        ignore (Xnf.Api.exec api l))
+    lines;
+  (db, api, List.filter is_query lines)
+
+let check_servability db api q =
+  let def, restrs = compose api q in
+  let forced = List.map (fun s -> (s, Xnf.Translate.compile_def ~force:s db def)) all_strategies in
+  List.iter
+    (fun (es : Xnf.Translate.edge_shape) ->
+      let name = es.Xnf.Translate.es_name in
+      let kept =
+        List.filter
+          (fun s -> List.assoc name (Xnf.Translate.edge_strategies (List.assoc s forced)) = s)
+          all_strategies
+      in
+      Alcotest.(check (list strat)) (q ^ " / " ^ name) (Edge_cost.candidates es) kept)
+    (Xnf.Translate.edge_shapes (Xnf.Translate.compile_def db def));
+  let generic = Xnf.Translate.execute_def db (List.assoc Xnf.Translate.S_generic forced) restrs in
+  List.iter
+    (fun (s, cp) ->
+      match Fuzz.Oracle.compare_caches generic (Xnf.Translate.execute_def db cp restrs) with
+      | None -> ()
+      | Some d -> Alcotest.failf "%s forced %s diverged: %s" q (Xnf.Translate.strategy_name s) d)
+    forced
+
+(* the test runs in the build tree's test directory (dune copies the
+   corpus there); [dune exec] runs it from the project root *)
+let converge_dir =
+  if Sys.file_exists "../examples/converge" then "../examples/converge" else "examples/converge"
+
+let test_servability_agrees () =
+  let groups =
+    Sys.readdir converge_dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".xnf")
+    |> List.sort compare
+  in
+  Alcotest.(check bool) "convergence corpus visible" true (groups <> []);
+  List.iter
+    (fun f ->
+      let db, api, forms = load_group (Filename.concat converge_dir f) in
+      List.iter (check_servability db api) forms)
+    groups;
+  let db, api, _ = load_group (Filename.concat converge_dir "g6_using.xnf") in
+  check_servability db api
+    "OUT OF p0 AS (SELECT * FROM sp), c0 AS (SELECT * FROM sc), \
+     e0 AS (RELATE p0, c0 USING slink l WHERE (p0.k + 0 = l.pk AND l.ck = c0.k)) TAKE *"
 
 (* ---- advisor consistency with the shared estimator ---- *)
 
@@ -334,5 +405,6 @@ let suite =
     Alcotest.test_case "switched strategy reused when warm" `Quick test_switch_reused_next_execution;
     Alcotest.test_case "point root: adaptive keeps hash" `Quick
       test_point_root_adaptive_keeps_hash;
+    Alcotest.test_case "servability: candidates = forced keeps" `Quick test_servability_agrees;
     Alcotest.test_case "advisor agrees with planner" `Quick test_advisor_agrees_with_planner;
     Alcotest.test_case "PLAN305 subject is the cost pick" `Quick test_advisor_inversion_matches_pick ]

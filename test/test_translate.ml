@@ -265,12 +265,11 @@ let test_staleness () =
 (* translation statistics: sharing means one materialization per node *)
 let test_translate_stats () =
   let _, api = mk_api () in
-  Xnf.Translate.reset_stats ();
+  let d = Obs.Metrics.since () in
   ignore (fetch api "OUT OF ALL-DEPS TAKE *");
-  let s = Xnf.Translate.stats in
-  Alcotest.(check bool) "issued a bounded number of queries" true
-    (s.Xnf.Translate.queries_issued >= 5 && s.Xnf.Translate.queries_issued <= 12);
-  Alcotest.(check bool) "DAG converges quickly" true (s.Xnf.Translate.fixpoint_rounds <= 3)
+  let queries = d "xnf.translate.queries" in
+  Alcotest.(check bool) "issued a bounded number of queries" true (queries >= 5 && queries <= 12);
+  Alcotest.(check bool) "DAG converges quickly" true (d "xnf.translate.rounds" <= 3)
 
 (* a node derived from a tabular SQL view: the two view systems compose *)
 let test_node_from_sql_view () =
