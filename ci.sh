@@ -11,7 +11,7 @@
 #   converge  - plan-convergence corpus (equivalent formulations must
 #               load identical instances and cost-pick identical
 #               strategies) + the stats-drop mis-pick self-check
-#   bench     - bench smoke + oo1_closure allocation ceiling + baseline
+#   bench     - bench smoke + bench/suite allocation ceilings + baseline
 #               gate vs BENCH_seed.json
 #
 # `./ci.sh` runs every stage in order; `./ci.sh fuzz bench` runs a
@@ -238,28 +238,40 @@ stage_converge() {
   dune exec bin/xnf_fuzz.exe -- --converge-defect stats-drop > /dev/null
 }
 
+# alloc_ceiling WORKLOAD OPS CEILING: fail unless the workload's traced
+# seed-1 run allocates at most CEILING bytes per op
+alloc_ceiling() {
+  alloc=$(./_build/default/bench/suite/xnf_bench.exe --workload "$1" --seed 1 \
+    --ops "$2" --trace 1 | sed -n 's/.*"gc\.alloc_bytes_per_op": {"value": \([0-9.e+]*\),.*/\1/p')
+  if [ -z "$alloc" ]; then
+    echo "alloc gate: $1 gc.alloc_bytes_per_op not reported"
+    exit 1
+  fi
+  echo "$1 gc.alloc_bytes_per_op = $alloc B (ceiling $3 B)"
+  if ! awk -v v="$alloc" -v c="$3" 'BEGIN { exit !(v + 0 <= c + 0) }'; then
+    echo "alloc gate: $1 ceiling exceeded"
+    exit 1
+  fi
+}
+
 stage_bench() {
   echo "== bench smoke =="
   dune exec bench/main.exe -- --list
 
-  echo "== allocation ceiling (oo1_closure, bench/suite) =="
-  # bytes allocated per op on the recursive OO1 closure, a work counter
-  # that repeats to within 1 B across runs on any host: 12 MB sits
-  # between the generic root-edge pick (26.3 MB, a temp copy of the whole
-  # connection table per fetch) and the hash pick over one shared build
-  # (7.4 MB)
+  echo "== allocation ceilings (bench/suite) =="
+  # bytes allocated per op, a work counter that repeats to within 1 B
+  # across runs on any host.
+  # oo1_closure: 12 MB sits between the generic root-edge pick (26.3 MB, a
+  # temp copy of the whole connection table per fetch) and the hash pick
+  # over one shared build (7.4 MB).
+  # design_ws: 400 kB sits between full-scan PK UPDATE victims and roots
+  # (1.83 MB) and index-driven ones (0.17 MB).
+  # oo1_nav: 1.25 MB sits between full-scan point roots (1.54 MB) and
+  # primary-key probes (1.00 MB).
   dune build bench/suite/xnf_bench.exe
-  alloc=$(./_build/default/bench/suite/xnf_bench.exe --workload oo1_closure --seed 1 \
-    --ops 130 --trace 1 | sed -n 's/.*"gc\.alloc_bytes_per_op": {"value": \([0-9.e+]*\),.*/\1/p')
-  if [ -z "$alloc" ]; then
-    echo "alloc gate: gc.alloc_bytes_per_op not reported"
-    exit 1
-  fi
-  echo "oo1_closure gc.alloc_bytes_per_op = $alloc B (ceiling 12000000 B)"
-  if ! awk -v v="$alloc" 'BEGIN { exit !(v + 0 <= 12000000) }'; then
-    echo "alloc gate: ceiling exceeded"
-    exit 1
-  fi
+  alloc_ceiling oo1_closure 130 12000000
+  alloc_ceiling design_ws 500 400000
+  alloc_ceiling oo1_nav 500 1250000
 
   echo "== bench gate (E4+E11+E12+E13+E14 vs BENCH_seed.json) =="
   # re-run the paged-storage, repeated-fetch, batch-edge, cost-pick and

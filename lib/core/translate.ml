@@ -193,6 +193,7 @@ type extent = {
 type node_rt = {
   nr_def : Co_schema.node_def;
   nr_simple : simple option;
+  nr_access : Access_path.t;  (** the simple node's base-table path, key bound *)
   nr_ni : Cache.node_inst;
   mutable nr_extent : extent option;  (** full base extent (generic path only) *)
   mutable nr_temp : Table.t option;  (** shared temp of [nr_extent] *)
@@ -211,6 +212,12 @@ let node_schema db (nd : Co_schema.node_def) ~simple =
     let qgm = Db.bind_select db nd.Co_schema.nd_query in
     clear_quals (Qgm.schema_of (Db.catalog db) qgm)
 
+(* a simple node's qualifying base rows through its access path, in rowid
+   order: [f rowid output_row_encoded] *)
+let iter_simple (s : simple) access f =
+  Access_path.iter s.s_table access s.s_pred (fun rowid row ->
+      f rowid (Row.encode (Row.project row s.s_proj)))
+
 (* full base extent, for the generic probe path *)
 let ensure_extent db (rt : node_rt) : extent =
   match rt.nr_extent with
@@ -221,13 +228,7 @@ let ensure_extent db (rt : node_rt) : extent =
       match rt.nr_simple with
       | Some s ->
         let rows = ref [] in
-        Table.iter
-          (fun rowid row ->
-            let keep =
-              match s.s_pred with None -> true | Some p -> Value.is_true (Expr.eval_pred row p)
-            in
-            if keep then rows := (Row.encode (Row.project row s.s_proj), rowid) :: !rows)
-          s.s_table;
+        iter_simple s rt.nr_access (fun rowid enc -> rows := (enc, rowid) :: !rows);
         let rows = List.rev !rows in
         { x_schema = rt.nr_ni.Cache.ni_schema; x_rows = Array.of_list (List.map fst rows);
           x_rowids = Array.of_list (List.map snd rows) }
@@ -627,39 +628,29 @@ let ensure_build (hs : hash_source) =
        build; bucket lists are stored as values (probe sets are
        frontier-sized, builds are extent-sized, so the build side is the
        one to keep lean) *)
-    let keep row =
-      match hs.hs_pred with None -> true | Some p -> Value.is_true (Expr.eval_pred row p)
-    in
+    let scan f = Access_path.iter hs.hs_table Access_path.Scan hs.hs_pred f in
     let n = max 64 (Table.cardinality hs.hs_table) in
     let tbl =
       if Array.length hs.hs_key_cols = 1 then begin
         let kc = hs.hs_key_cols.(0) in
         let t : (int, hash_entries) Hashtbl.t = Hashtbl.create n in
-        Table.iter
-          (fun rowid row ->
-            if keep row then begin
-              let enc = Row.encode row in
-              let k = Dict.key_cell enc.(kc) in
-              if not (Dict.is_null k) then
-                Hashtbl.replace t k
-                  ((rowid, enc) :: (match Hashtbl.find_opt t k with Some l -> l | None -> []))
-            end)
-          hs.hs_table;
+        scan (fun rowid row ->
+            let enc = Row.encode row in
+            let k = Dict.key_cell enc.(kc) in
+            if not (Dict.is_null k) then
+              Hashtbl.replace t k
+                ((rowid, enc) :: (match Hashtbl.find_opt t k with Some l -> l | None -> [])));
         HB_single t
       end
       else begin
         let t = Expr.Row_key_tbl.create n in
-        Table.iter
-          (fun rowid row ->
-            if keep row then begin
-              let enc = Row.encode row in
-              let key = Array.map (fun i -> Dict.key_cell enc.(i)) hs.hs_key_cols in
-              if not (Expr.Row_key.has_null key) then
-                Expr.Row_key_tbl.replace t key
-                  ((rowid, enc)
-                  :: (match Expr.Row_key_tbl.find_opt t key with Some l -> l | None -> []))
-            end)
-          hs.hs_table;
+        scan (fun rowid row ->
+            let enc = Row.encode row in
+            let key = Array.map (fun i -> Dict.key_cell enc.(i)) hs.hs_key_cols in
+            if not (Expr.Row_key.has_null key) then
+              Expr.Row_key_tbl.replace t key
+                ((rowid, enc)
+                :: (match Expr.Row_key_tbl.find_opt t key with Some l -> l | None -> [])));
         HB_multi t
       end
     in
@@ -999,6 +990,9 @@ let apply_take cache (take : Xnf_ast.take) : Cache.t =
 type node_plan = {
   np_def : Co_schema.node_def;
   np_simple : simple option;
+  np_access : Access_path.t;
+      (** chosen over the simple node's predicate with its [?] slots
+          unbound; [Scan] for non-simple nodes *)
   np_schema : Schema.t;
   np_upd : Semantic.node_updatability option;
 }
@@ -1078,8 +1072,14 @@ let compile_def ?(take = Xnf_ast.Take_star) ?force db (def : Co_schema.t) : comp
         let simple = analyze_simple db nd.Co_schema.nd_query in
         let schema = node_schema db nd ~simple in
         let upd = Semantic.analyze_node_query catalog nd.Co_schema.nd_query in
+        let access =
+          match simple with
+          | Some ({ s_pred = Some p; s_table; _ }, _) -> Access_path.choose s_table (Expr.conjuncts p)
+          | _ -> Access_path.Scan
+        in
         ( nd.Co_schema.nd_name,
-          { np_def = nd; np_simple = Option.map fst simple; np_schema = schema; np_upd = upd } ))
+          { np_def = nd; np_simple = Option.map fst simple; np_access = access; np_schema = schema;
+            np_upd = upd } ))
       def.Co_schema.co_nodes
   in
   let node name = List.assoc name nodes in
@@ -1254,6 +1254,10 @@ let node_shapes (cp : compiled) : node_shape list =
         ns_query = np.np_def.Co_schema.nd_query })
     cp.cp_nodes
 
+(** [node_access cp] is the base-table access path chosen per node. *)
+let node_access (cp : compiled) : (string * Access_path.t) list =
+  List.map (fun (name, np) -> (name, np.np_access)) cp.cp_nodes
+
 (** [forced cp] is the [?force] pin the plan was compiled under. *)
 let forced (cp : compiled) : strategy option = cp.cp_force
 
@@ -1318,10 +1322,15 @@ let execute_def ?(fixpoint = Semi_naive) ?(params = [||]) db (cp : compiled)
           { np.np_def with Co_schema.nd_query = sub_select np.np_def.Co_schema.nd_query }
         in
         let simple = Option.map (fun s -> { s with s_pred = sub_pred s.s_pred }) np.np_simple in
+        let access =
+          if Array.length params = 0 then np.np_access
+          else Access_path.subst_params params np.np_access
+        in
         let h = hint ("n:" ^ name) 64 in
         let ni = Cache.make_node ~size_hint:h ~schema:np.np_schema ~upd:np.np_upd name in
         ( name,
-          { nr_def = nd; nr_simple = simple; nr_ni = ni; nr_extent = None; nr_temp = None;
+          { nr_def = nd; nr_simple = simple; nr_access = access; nr_ni = ni; nr_extent = None;
+            nr_temp = None;
             nr_tid2pos = Intmap.create ~size:16; nr_mark = 0; nr_limit = 0 } ))
       cp.cp_nodes
   in
@@ -1406,15 +1415,10 @@ let execute_def ?(fixpoint = Semi_naive) ?(params = [||]) db (cp : compiled)
           note_query ();
           (match r.nr_simple with
           | Some s ->
-            Table.iter
-              (fun rowid row ->
-                let keep =
-                  match s.s_pred with None -> true | Some p -> Value.is_true (Expr.eval_pred row p)
-                in
-                if keep then
-                  ignore (Cache.add_tuple r.nr_ni ~rowid (Row.encode (Row.project row s.s_proj))))
-              s.s_table
+            Obs.Trace.add_meta "access" (Access_path.describe r.nr_access);
+            iter_simple s r.nr_access (fun rowid enc -> ignore (Cache.add_tuple r.nr_ni ~rowid enc))
           | None ->
+            Obs.Trace.add_meta "access" "sql";
             let x = ensure_extent db r in
             Array.iteri
               (fun tid row ->

@@ -151,6 +151,11 @@ val edge_shapes : compiled -> edge_shape list
     order. *)
 val node_shapes : compiled -> node_shape list
 
+(** [node_access cp] is the base-table access path chosen per node, in
+    definition order ([Scan] for a derivation that is not a simple
+    base-table select: the relational engine evaluates those). *)
+val node_access : compiled -> (string * Access_path.t) list
+
 (** [forced cp] is the [?force] pin the plan was compiled under, if any. *)
 val forced : compiled -> strategy option
 

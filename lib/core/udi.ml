@@ -170,11 +170,19 @@ let queue ses p =
     | P_link_insert { table; row } -> ignore (write_insert ses (Catalog.table catalog table) row)
     | P_link_delete { table; match_cols } ->
       let tbl = Catalog.table catalog table in
+      (* candidates from an index covering the match columns (its keys
+         compare with [Value.equal], so it only narrows the filter) *)
+      let candidates =
+        match Access_path.first_covering tbl (fun c -> List.mem_assoc c match_cols) with
+        | Some idx ->
+          Access_path.lookup tbl idx (Array.map (fun c -> List.assoc c match_cols) (Index.cols idx))
+        | None -> List.of_seq (Table.to_seq tbl)
+      in
       let victims =
         List.filter
           (fun (_, row) ->
             List.for_all (fun (col, v) -> Value.equal row.(col) v) match_cols)
-          (List.of_seq (Table.to_seq tbl))
+          candidates
       in
       check_conflict ses tbl;
       List.iter (fun (rowid, _) -> ignore (write_delete ses tbl rowid)) victims

@@ -12,7 +12,8 @@
    edges keeps every node reachable from n0 (parents always have a lower
    index), then extra edges add schema sharing, M:N USING link tables,
    WITH ATTRIBUTES, back edges (cycles) and self loops. Node derivations
-   are [SELECT * FROM ti], sometimes wrapped in a WHERE restriction;
+   are [SELECT * FROM ti], sometimes wrapped in a WHERE restriction
+   (a [g] bound, an indexed column equal to a stored value, or both);
    restrictions mix SQL node/edge predicates with reduced and qualified
    path expressions; views cover prefixes of the node set (views over
    views); TAKE is * or a random structural projection. *)
@@ -199,11 +200,30 @@ let generate ?(config = default) ~seed ~index () : case =
     List.filter_map (fun t -> if Rng.bool rng 0.5 then Some (t.tb_name, "lp") else None) !links
   in
   (* --- derivations --- *)
+  let node_cols = [| "k"; "f"; "h"; "g"; "s" |] in
+  (* an indexed column of table [i] (its primary key or a secondary
+     index) equal to a value one of its rows holds: the root reads it
+     through the index *)
+  let indexed_eq i =
+    let cols =
+      "k" :: List.filter_map (fun (t, c) -> if t = tbl_name i then Some c else None) node_indexes
+    in
+    let col = Rng.choice rng (Array.of_list cols) in
+    let row = List.nth (List.nth node_tables i).tb_rows (Rng.int rng nrows.(i)) in
+    let pos = Option.get (Array.find_index (String.equal col) node_cols) in
+    eq (Sql_ast.E_col (None, col)) (Sql_ast.E_lit row.(pos))
+  in
   let derivation i =
-    if Rng.bool rng 0.25 then
-      Sql_ast.simple_select [ Sql_ast.Sel_star ]
-        [ Sql_ast.From_table (tbl_name i, None) ]
-        (Some (Sql_ast.E_cmp (Expr.Le, Sql_ast.E_col (None, "g"), eint (Rng.in_range rng 1 4))))
+    if Rng.bool rng 0.25 then begin
+      let g_le = Sql_ast.E_cmp (Expr.Le, Sql_ast.E_col (None, "g"), eint (Rng.in_range rng 1 4)) in
+      let where =
+        match Rng.int rng 3 with
+        | 0 -> g_le
+        | 1 -> indexed_eq i
+        | _ -> Sql_ast.E_and (indexed_eq i, g_le)
+      in
+      Sql_ast.simple_select [ Sql_ast.Sel_star ] [ Sql_ast.From_table (tbl_name i, None) ] (Some where)
+    end
     else Sql_ast.select_star_from (tbl_name i)
   in
   let derivations = Array.init n derivation in

@@ -18,7 +18,10 @@
        (when every path restriction is monotone), TAKE projection of a
        full fetch equals the projecting fetch, a result-cache hit
        equals the cold fetch, and a refetch after an unsaved deferred edit
-       of the served instance equals a fresh fetch.
+       of the served instance equals a fresh fetch;
+     - index-free differential, last: with every index dropped, roots,
+       extents and edges all scan, and the pre-TAKE instance must not
+       change — an index only ever narrows the rows a scan would find.
 
    [mutation] injects a deliberate defect into the system-under-test
    caches after loading — the smoke test that proves divergences are
@@ -56,13 +59,14 @@ type flags = {
   f_adaptive : bool;  (** adaptive differential saw a mid-fixpoint switch fire *)
   f_advise : bool;  (** the plan-advisor purity guard ran *)
   f_dict : bool;  (** the dictionary round-trip oracle compared the instance *)
+  f_noindex : bool;  (** the index-free differential compared an index-driven root *)
   f_mutated : bool;  (** the injected mutation found something to break *)
 }
 
 let no_flags =
   { f_recursive = false; f_sharing = false; f_views = false; f_using = false; f_paths = false;
     f_naive = false; f_lw90 = false; f_mono = false; f_hash = false; f_adaptive = false;
-    f_advise = false; f_dict = false; f_mutated = false }
+    f_advise = false; f_dict = false; f_noindex = false; f_mutated = false }
 
 type outcome = { o_divs : divergence list; o_flags : flags }
 
@@ -694,6 +698,33 @@ let run ?(advise = false) ?mutation ?extra_restr (sc : Gen.scenario) : outcome =
                   Api.set_plan_cache api 0);
               { flags with f_advise = true }
             end
+          in
+          (* index-free differential: drops every index, so it runs last *)
+          let flags =
+            match !pre with
+            | None -> flags
+            | Some pre ->
+              let access = Translate.node_access (Translate.compile_def db def) in
+              let indexed_root =
+                List.exists
+                  (fun (nd : Co_schema.node_def) ->
+                    match List.assoc nd.Co_schema.nd_name access with
+                    | Access_path.Index _ -> true
+                    | Access_path.Scan -> false)
+                  (Co_schema.roots def)
+              in
+              guard "noindex" (fun () ->
+                  List.iter
+                    (fun t ->
+                      List.iter
+                        (fun idx -> ignore (Table.drop_index t ~name:(Index.name idx)))
+                        (Table.indexes t))
+                    (Catalog.tables (Db.catalog db));
+                  let alt = Translate.execute_def db (Translate.compile_def db def) [] in
+                  match compare_caches pre alt with
+                  | Some d -> add "noindex" d
+                  | None -> ());
+              { flags with f_noindex = indexed_root }
           in
           finish flags
         end

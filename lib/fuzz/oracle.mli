@@ -35,6 +35,7 @@ type flags = {
   f_adaptive : bool;  (** adaptive differential saw a mid-fixpoint switch fire *)
   f_advise : bool;  (** the plan-advisor purity guard ran *)
   f_dict : bool;  (** the dictionary round-trip oracle compared the instance *)
+  f_noindex : bool;  (** the index-free differential compared an index-driven root *)
   f_mutated : bool;  (** the injected mutation found something to break *)
 }
 

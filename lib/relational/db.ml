@@ -385,14 +385,17 @@ let update_row db table rowid row =
     Txn.log_dml db.txn (Wal.R_update { table = Table.name table; rowid; before; after = row });
     true
 
-(* rows matching a WHERE clause on a single table, as (rowid, row) *)
+(* rows matching a WHERE clause on a single table, as (rowid, row) in
+   rowid order, materialized before the caller's first write *)
 let matching_rows db table where =
   let schema = Schema.requalify (Table.name table) (Table.schema table) in
   let pred = Option.map (Binder.bind_expr (bind_env db) schema) where in
-  List.filter
-    (fun (_, row) ->
-      match pred with None -> true | Some p -> Value.is_true (Expr.eval_pred row p))
-    (List.of_seq (Table.to_seq table))
+  let path =
+    match pred with
+    | Some p -> Access_path.choose table (Expr.conjuncts p)
+    | None -> Access_path.Scan
+  in
+  Access_path.rows table path pred
 
 (* ---- statement execution ---- *)
 

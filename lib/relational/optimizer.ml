@@ -62,37 +62,11 @@ let rec lower catalog node : Plan.t =
     match base_table catalog input with
     | Some (table, extra_preds) -> begin
       let conjuncts = List.concat_map Expr.conjuncts (pred :: extra_preds) in
-      let const_eq =
-        List.filter_map
-          (fun c ->
-            match c with
-            | Expr.Cmp (Expr.Eq, Expr.Col i, (Expr.Lit _ as v))
-            | Expr.Cmp (Expr.Eq, (Expr.Lit _ as v), Expr.Col i) ->
-              Some (i, v, c)
-            | _ -> None)
-          conjuncts
-      in
-      let pick =
-        List.find_map
-          (fun idx ->
-            let key_cols = Array.to_list (Index.cols idx) in
-            let bindings =
-              List.map
-                (fun kc -> List.find_opt (fun (i, _, _) -> i = kc) const_eq)
-                key_cols
-            in
-            if List.for_all Option.is_some bindings then
-              Some (idx, List.map Option.get bindings)
-            else None)
-          (Table.indexes table)
-      in
-      match pick with
-      | Some (idx, bindings) ->
-        let used = List.map (fun (_, _, c) -> c) bindings in
-        let residual = List.filter (fun c -> not (List.memq c used)) conjuncts in
-        let scan = Plan.Index_scan { table; index = idx; key = List.map (fun (_, v, _) -> v) bindings } in
+      match Access_path.choose table conjuncts with
+      | Access_path.Index { index; key; residual } ->
+        let scan = Plan.Index_scan { table; index; key } in
         if residual = [] then scan else Plan.Filter (scan, Expr.conjoin residual)
-      | None -> Plan.Filter (lower catalog input, pred)
+      | Access_path.Scan -> Plan.Filter (lower catalog input, pred)
     end
     | None -> Plan.Filter (lower catalog input, pred)
   end

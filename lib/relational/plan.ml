@@ -196,9 +196,11 @@ and exec ~(recur : t -> Row.t Seq.t) (p : t) : Row.t Seq.t =
   match p with
   | Seq_scan table -> Seq.map snd (Table.to_seq table)
   | Index_scan { table; index; key } ->
-    fun () ->
-      let kv = Array.of_list (List.map (fun e -> Expr.eval [||] e) key) in
-      List.to_seq (List.map snd (Table.lookup_index table index kv)) ()
+    fun () -> begin
+      match Access_path.probe_key key with
+      | None -> Seq.Nil
+      | Some kv -> List.to_seq (List.map snd (Table.lookup_index table index kv)) ()
+    end
   | Values rows -> List.to_seq rows
   | Filter (input, pred) ->
     Seq.filter (fun row -> Value.is_true (Expr.eval_pred row pred)) (run input)

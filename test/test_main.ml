@@ -52,4 +52,5 @@ let () =
       ("advisor", Test_advisor.suite);
       ("wal-file", Test_wal_file.suite qcheck_seed);
       ("recovery", Test_recovery.suite);
-      ("cost-pick", Test_cost_pick.suite) ]
+      ("cost-pick", Test_cost_pick.suite);
+      ("access-path", Test_access_path.suite) ]

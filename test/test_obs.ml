@@ -144,7 +144,7 @@ let test_explain_analyze_xnf () =
     (fun needle ->
       Alcotest.(check bool) (Printf.sprintf "report has %s" needle) true
         (contains ~needle report))
-    [ "xnf.fetch"; "translate"; "cache-fill"; "fixpoint"; "Operators:" ];
+    [ "xnf.fetch"; "translate"; "cache-fill"; "fixpoint"; "Operators:"; "access=scan" ];
   (* every node and edge operator reports a positive actual row count *)
   List.iter
     (fun needle ->
@@ -153,7 +153,11 @@ let test_explain_analyze_xnf () =
     [ "node xdept"; "rows=2"; "node xemp"; "rows=3"; "edge employment"; "conns=3" ];
   (* the edge's span carries its accumulated fixpoint probe time *)
   Alcotest.(check bool) "edge span reports probe_ms" true
-    (contains ~needle:"conns=3  probe_ms=" report)
+    (contains ~needle:"conns=3  probe_ms=" report);
+  (* a root's node span names the access path that read its base table *)
+  Alcotest.(check bool) "point root probes the primary key" true
+    (contains ~needle:"access=index:dept_pk"
+       (Xnf.Api.explain_analyze api "OUT OF Xd AS (SELECT * FROM dept WHERE dno = 1) TAKE *"))
 
 let test_explain_analyze_sql () =
   let _, api = quickstart_api () in
