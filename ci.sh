@@ -238,18 +238,33 @@ stage_converge() {
   dune exec bin/xnf_fuzz.exe -- --converge-defect stats-drop > /dev/null
 }
 
-# alloc_ceiling WORKLOAD OPS CEILING: fail unless the workload's traced
-# seed-1 run allocates at most CEILING bytes per op
-alloc_ceiling() {
-  alloc=$(./_build/default/bench/suite/xnf_bench.exe --workload "$1" --seed 1 \
-    --ops "$2" --trace 1 | sed -n 's/.*"gc\.alloc_bytes_per_op": {"value": \([0-9.e+]*\),.*/\1/p')
-  if [ -z "$alloc" ]; then
-    echo "alloc gate: $1 gc.alloc_bytes_per_op not reported"
+# suite_gate WORKLOAD OPS CEILING PROBED ROUNDS: fail unless the
+# workload's traced seed-1 run allocates at most CEILING bytes per op and
+# its fixpoint probes exactly PROBED tuples in exactly ROUNDS rounds per
+# fetch
+suite_gate() {
+  out=$(./_build/default/bench/suite/xnf_bench.exe --workload "$1" --seed 1 \
+    --ops "$2" --trace 1)
+  metric() {
+    echo "$out" | sed -n "s/.*\"$1\": {\"value\": \([0-9.e+-]*\),.*/\1/p"
+  }
+  alloc=$(metric 'gc\.alloc_bytes_per_op')
+  probed=$(metric 'translate\.tuples_probed_per_fetch')
+  rounds=$(metric 'translate\.rounds_per_fetch')
+  if [ -z "$alloc" ] || [ -z "$probed" ] || [ -z "$rounds" ]; then
+    echo "suite gate: $1 did not report gc.alloc_bytes_per_op, translate.tuples_probed_per_fetch and translate.rounds_per_fetch"
     exit 1
   fi
   echo "$1 gc.alloc_bytes_per_op = $alloc B (ceiling $3 B)"
   if ! awk -v v="$alloc" -v c="$3" 'BEGIN { exit !(v + 0 <= c + 0) }'; then
     echo "alloc gate: $1 ceiling exceeded"
+    exit 1
+  fi
+  echo "$1 translate.tuples_probed_per_fetch = $probed (expected $4)"
+  echo "$1 translate.rounds_per_fetch = $rounds (expected $5)"
+  if ! awk -v p="$probed" -v r="$rounds" -v ep="$4" -v er="$5" \
+    'BEGIN { exit !(p + 0 == ep + 0 && r + 0 == er + 0) }'; then
+    echo "work gate: $1 fixpoint work changed"
     exit 1
   fi
 }
@@ -258,9 +273,11 @@ stage_bench() {
   echo "== bench smoke =="
   dune exec bench/main.exe -- --list
 
-  echo "== allocation ceilings (bench/suite) =="
+  echo "== allocation ceilings and exact work counters (bench/suite) =="
   # bytes allocated per op, a work counter that repeats to within 1 B
-  # across runs on any host.
+  # across runs on any host, and the fixpoint's tuples probed and rounds
+  # per fetch, which repeat exactly: a change to semi-naive evaluation
+  # (re-probing old tuples, extra rounds) moves them.
   # oo1_closure: 12 MB sits between the generic root-edge pick (26.3 MB, a
   # temp copy of the whole connection table per fetch) and the hash pick
   # over one shared build (7.4 MB).
@@ -269,9 +286,9 @@ stage_bench() {
   # oo1_nav: 1.25 MB sits between full-scan point roots (1.54 MB) and
   # primary-key probes (1.00 MB).
   dune build bench/suite/xnf_bench.exe
-  alloc_ceiling oo1_closure 130 12000000
-  alloc_ceiling design_ws 500 400000
-  alloc_ceiling oo1_nav 500 1250000
+  suite_gate oo1_closure 130 12000000 18764.655172413793 35.03448275862069
+  suite_gate design_ws 500 400000 17 3
+  suite_gate oo1_nav 500 1250000 1181.3239436619717 6.577464788732394
 
   echo "== bench gate (E4+E11+E12+E13+E14 vs BENCH_seed.json) =="
   # re-run the paged-storage, repeated-fetch, batch-edge, cost-pick and

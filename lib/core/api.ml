@@ -144,18 +144,9 @@ let sys_plans api () =
         ok)
       api.pc;
   let row source name p =
-    (* adaptive mid-fixpoint switches render as [edge=from->to] *)
-    let switched = Fetch_plan.switches p in
     let edges =
       String.concat ","
-        (List.map
-           (fun (n, s) ->
-             match List.find_opt (fun sw -> sw.Translate.sw_edge = n) switched with
-             | Some sw ->
-               n ^ "=" ^ Translate.strategy_name s ^ "->"
-               ^ Translate.strategy_name sw.Translate.sw_to
-             | None -> n ^ "=" ^ Translate.strategy_name s)
-           (Fetch_plan.strategies p))
+        (List.map (fun (n, _) -> n ^ "=" ^ Fetch_plan.strategy_text p n) (Fetch_plan.strategies p))
     in
     [| Value.Str source; Value.Str name; Value.Int (Fetch_plan.nparams p);
        Value.Int (Fetch_plan.hits p); Value.Bool (Fetch_plan.valid api.db api.reg p);
@@ -624,8 +615,6 @@ let explain_analyze api text =
       let plan = resolve api (Text (String.trim text, Lazy.from_val q)) in
       (plan, pipeline api (Plan plan))
     in
-    let strategies = Fetch_plan.strategies plan in
-    let switched = Fetch_plan.switches plan in
     let b = Buffer.create 256 in
     (match Obs.Trace.last () with
     | Some sp ->
@@ -639,21 +628,8 @@ let explain_analyze api text =
       cache.Cache.c_nodes;
     List.iter
       (fun (name, ei) ->
-        let strategy =
-          match List.assoc_opt name strategies with
-          | Some s -> Translate.strategy_name s
-          | None -> "generic"
-        in
-        let switch_note =
-          match List.find_opt (fun sw -> sw.Translate.sw_edge = name) switched with
-          | Some sw ->
-            Printf.sprintf " (switched to %s, round %d)"
-              (Translate.strategy_name sw.Translate.sw_to)
-              sw.Translate.sw_round
-          | None -> ""
-        in
-        Printf.bprintf b "  edge %-24s conns=%d strategy=%s%s\n" name
-          (List.length (Cache.conns_live ei)) strategy switch_note)
+        Printf.bprintf b "  edge %-24s conns=%d strategy=%s\n" name
+          (List.length (Cache.conns_live ei)) (Fetch_plan.strategy_text plan name))
       cache.Cache.c_edges;
     Printf.bprintf b "(%d tuples, %d connections)\n" (Cache.total_tuples cache)
       (Cache.total_conns cache);

@@ -106,26 +106,26 @@ let switches plan = Translate.switches plan.fp_compiled
     shared cost model (fresh stats on every base table, no [?force]). *)
 let cost_based plan = Translate.cost_based plan.fp_compiled
 
+(** [strategy_text plan edge] is [edge]'s access path as [\plans],
+    [sys.plans] and EXPLAIN ANALYZE print it: the compiled pick, then
+    [->to] when an adaptive switch is recorded. *)
+let strategy_text plan edge =
+  let s =
+    match List.assoc_opt edge (strategies plan) with
+    | Some s -> Translate.strategy_name s
+    | None -> Translate.strategy_name Translate.S_generic
+  in
+  match List.find_opt (fun sw -> sw.Translate.sw_edge = edge) (switches plan) with
+  | Some sw -> s ^ "->" ^ Translate.strategy_name sw.Translate.sw_to
+  | None -> s
+
 (** [describe plan] is a one-line summary for [\plans], including the
-    selected per-edge access paths (adaptive switches rendered as
-    [from->to]). *)
+    selected per-edge access paths. *)
 let describe plan =
-  let switched = switches plan in
   let strats =
     match strategies plan with
     | [] -> ""
-    | ss ->
-      " edges="
-      ^ String.concat ","
-          (List.map
-             (fun (n, s) ->
-               match List.find_opt (fun sw -> sw.Translate.sw_edge = n) switched with
-               | Some sw ->
-                 Printf.sprintf "%s:%s->%s" n
-                   (Translate.strategy_name s)
-                   (Translate.strategy_name sw.Translate.sw_to)
-               | None -> Printf.sprintf "%s:%s" n (Translate.strategy_name s))
-             ss)
+    | ss -> " edges=" ^ String.concat "," (List.map (fun (n, _) -> n ^ ":" ^ strategy_text plan n) ss)
   in
   Printf.sprintf "params=%d hits=%d reg=v%d cat=v%d idx=e%d%s%s | %s" plan.fp_nparams plan.fp_hits
     plan.fp_reg_version plan.fp_catalog_version plan.fp_index_epoch

@@ -81,6 +81,13 @@ val switches : t -> Translate.switch_rec list
     [?force]). *)
 val cost_based : t -> bool
 
+(** [strategy_text plan edge] renders [edge]'s access path for [\plans],
+    [sys.plans] and [EXPLAIN ANALYZE]: the compiled pick's
+    {!Translate.strategy_name}, followed by [->] and the switched-to
+    strategy when the plan records an adaptive switch for the edge. An
+    edge the plan does not know renders as ["generic"]. *)
+val strategy_text : t -> string -> string
+
 (** [describe plan] is a one-line summary (parameters, hits, version
     snapshot, query text) for the shell's [\plans] listing. *)
 val describe : t -> string

@@ -8,33 +8,39 @@
        graph: per round, only the parent tuples discovered in the previous
        round probe each outgoing relationship. DAG schemas converge in one
        topological sweep; recursive schemas iterate. The naive variant
-       (re-probing from full reached sets, E6 ablation) is selectable
-       through [`Naive`] and keeps only its last round's connections;
+       (E6 ablation, [`Naive]) is the same loop with each round's slice
+       starting at 0: it re-probes every parent and keeps only its last
+       round's connections;
      - each relationship's predicate is analyzed once into its join key
        (FK pairs or USING link bindings, plus residual conjuncts), and
        each probe is *access-path selected* from it, like the plan
        optimizer does for parent/child joins ("in the plan optimizer
        handling of joins is heavily used since parent child relationships
-       are computed by joins"): an FK-equality relationship whose child is
-       a plain base table with an index on the FK column runs as an
-       index-nested-loop probe; a USING relationship with indexed link
-       bindings chains two index lookups; any other relationship keyed on
-       both sides over a plain base-table child runs as a batch hash probe
-       against a version-cached build; everything else falls back to a
-       generic plan — the parent frontier and the child's materialized
-       extent joined through the relational engine (shared-temporary
-       common subexpressions, query rewrite and join-method selection
-       included);
+       are computed by joins");
+     - the indexed and batch-hash access paths are ONE prober: a key
+       chain (an FK edge is one lookup keyed by parent columns, a USING
+       edge two chained lookups parent -> link rows -> child rows) over a
+       candidate source (a stored base-table index, or a version-cached
+       hash build over the child), with one delivery routine (child
+       predicate -> concat -> residual -> attributes, skipped entirely on
+       the allocation-free fast path). Indexed keys an FK edge by one
+       indexed pair and leaves the others to the residual; hash keys it by
+       all pairs. Everything else falls back to a generic plan — the
+       parent frontier and the child's materialized extent joined through
+       the relational engine (shared-temporary common subexpressions,
+       query rewrite and join-method selection included);
      - non-root extents are therefore *lazy*: only reached tuples are ever
        materialized, which is what makes working-set extraction at 10^-4
        selectivity set-oriented AND cheap (E3);
      - connection extents are produced by the same probes that establish
        reachability, so no second join runs after the fixpoint.
 
-   All generic queries are QGM trees executed through the relational
-   engine, so query rewrite (predicate pushdown -> hash joins) and plan
-   optimization apply to them exactly as to user SQL — toggled per session
-   for the E7 ablation. *)
+   [execute_def] is a short driver over [roots], [fixpoint] (with the
+   adaptive mid-fixpoint check), [connections] and [restrictions], which
+   share one per-fetch runtime record. All generic queries are QGM trees
+   executed through the relational engine, so query rewrite (predicate
+   pushdown -> hash joins) and plan optimization apply to them exactly as
+   to user SQL — toggled per session for the E7 ablation. *)
 
 open Relational
 open Xnf_ast
@@ -75,12 +81,9 @@ let m_strategy_switches = Obs.Metrics.counter "xnf.translate.strategy_switches"
    observed rows, so tiny instances never flap). Process-global knobs,
    like the optimizer toggles. *)
 
-let adaptive_on = ref true
 let adaptive_factor_v = ref 8.
 let adaptive_min_rows_v = ref 64
 
-let set_adaptive b = adaptive_on := b
-let adaptive_enabled () = !adaptive_on
 let set_adaptive_factor f = adaptive_factor_v := Float.max 0. f
 let adaptive_factor () = !adaptive_factor_v
 let set_adaptive_min_rows n = adaptive_min_rows_v := max 0 n
@@ -274,22 +277,25 @@ let ensure_temp db rt =
 
 (* ---- probers ----
 
-   A prober answers "children of this parent tuple" for one relationship.
-   The indexed form resolves matches through base-table indexes in OCaml —
-   the executed form of an index-nested-loop plan; the hash form through
-   version-cached hash builds; the generic fallback routes a frontier
-   batch through the relational engine.
+   A prober answers "children of this parent tuple" for one relationship
+   through the OCaml-executed probe path: one key chain over one
+   candidate source, with one delivery routine. The indexed and
+   batch-hash strategies differ only in where candidates come from —
+   stored base-table indexes or version-cached hash builds; the generic
+   fallback routes a frontier batch through the relational engine
+   instead.
 
-   Delivery is CPS: per match the prober calls [emit rowid base_enc
-   attrs] with the child's base rowid (identity), its ENCODED base row
-   (the consumer projects to node-output columns only when the tuple is
-   first materialized) and the ENCODED relationship-attribute row. The
-   fast path (no residual predicate, no WITH ATTRIBUTES, no probe-time
-   child predicate) allocates nothing per hit: no record, no list cons,
-   no row copy, no decode. *)
+   Delivery is CPS: a prober is bound to its [emit rowid base_enc attrs]
+   consumer once per batch, then fed frontier rows. Per match it emits
+   the child's base rowid (identity), its ENCODED base row (the consumer
+   projects to node-output columns only when the tuple is first
+   materialized) and the ENCODED relationship-attribute row. The fast
+   path (no residual predicate, no WITH ATTRIBUTES, no probe-time child
+   predicate) allocates nothing per hit over a hash build: no record, no
+   list cons, no row copy, no decode. *)
 
 type emit = int -> Row.enc -> Row.enc -> unit
-type prober = Row.enc -> emit -> unit
+type prober = emit -> Row.enc -> unit
 
 let empty_enc : Row.enc = [||]
 
@@ -303,9 +309,9 @@ let qual_is alias = function
    once per plan, in [compile_def]: an equality between a parent column
    and a child base column is an FK key pair; on a USING edge an equality
    between a link column and a parent (child) column is a parent (child)
-   link binding; everything else is residual. The indexed and hash
-   probers, the structural edge shape and — through the shape —
-   servability ([Edge_cost.candidates]) all read this one result. *)
+   link binding; everything else is residual. The key chains, the
+   structural edge shape and — through the shape — servability
+   ([Edge_cost.candidates]) all read this one result. *)
 
 type join_key =
   | Fk of (int * int * Sql_ast.expr) list
@@ -338,6 +344,20 @@ let concat_schema db (ed : Co_schema.edge_def) ~parent_schema ~child_schema =
     | None -> base
   end
 
+(* an arithmetic [?] operand takes its sibling's type: [Xc.g + ?] types
+   as [Xc.g + Xc.g]. A slot with no typed sibling is left in place for
+   [Binder.infer_ty] to reject. *)
+let rec type_params = function
+  | Expr.Arith (op, a, b) -> begin
+    match type_params a, type_params b with
+    | Expr.Param _, Expr.Param _ -> Expr.Arith (op, a, b)
+    | Expr.Param _, b -> Expr.Arith (op, b, b)
+    | a, Expr.Param _ -> Expr.Arith (op, a, a)
+    | a, b -> Expr.Arith (op, a, b)
+  end
+  | Expr.Neg a -> Expr.Neg (type_params a)
+  | e -> e
+
 (* relationship-attribute output schema over an edge's concat schema *)
 let attr_schema db (ed : Co_schema.edge_def) concat =
   let env = Db.bind_env db in
@@ -345,7 +365,11 @@ let attr_schema db (ed : Co_schema.edge_def) concat =
     (List.map
        (fun (e, name) ->
          let bound = Binder.bind_expr env concat e in
-         Schema.column name (Binder.infer_ty env concat bound))
+         match Binder.infer_ty env concat (type_params bound) with
+         | ty -> Schema.column name ty
+         | exception Binder.Bind_error _ when Expr.has_param bound ->
+           err "[XNF009] relationship %s: attribute %s: a parameter needs a typed operand beside it"
+             ed.Co_schema.ed_name name)
        ed.Co_schema.ed_attrs)
 
 let analyze_keys db (ed : Co_schema.edge_def) ~(parent_schema : Schema.t) ~(child : simple) :
@@ -394,9 +418,8 @@ let analyze_keys db (ed : Co_schema.edge_def) ~(parent_schema : Schema.t) ~(chil
   { ek_key; ek_residual = List.rev !residual;
     ek_concat = concat_schema db ed ~parent_schema ~child_schema }
 
-(* shared prelude of the OCaml-executed probe paths (index-nested-loop
-   and batch hash): residual binding over the concat schema and the
-   per-EXECUTE parameter specialization. *)
+(* shared prelude of the OCaml-executed probe path: residual binding
+   over the concat schema and the per-EXECUTE parameter specialization. *)
 let prober_ctx db (ed : Co_schema.edge_def) (keys : edge_keys) ~(child : simple) =
   let env = Db.bind_env db in
   let bind_residual = function
@@ -409,7 +432,7 @@ let prober_ctx db (ed : Co_schema.edge_def) (keys : edge_keys) ~(child : simple)
   in
   (* when the edge carries no WITH ATTRIBUTES, hits never need the
      parent++child concat row unless a residual predicate asks for it —
-     probers use this to skip the per-hit decode and row allocation
+     delivery uses this to skip the per-hit decode and row allocation
      entirely *)
   let no_attrs = ed.Co_schema.ed_attrs = [] in
   (* bind parameter slots once per EXECUTE, not once per probed row *)
@@ -427,141 +450,14 @@ let prober_ctx db (ed : Co_schema.edge_def) (keys : edge_keys) ~(child : simple)
   in
   (bind_residual, no_attrs, specialize)
 
-(* try to build an index-nested-loop prober for [ed] from its key
-   analysis; the child must be simple. The result is parameterized over
-   EXECUTE-time values: applying it to a [params] array substitutes the
-   parameter slots once and yields the per-row probe function. The
-   [int ref] counts candidate rows scanned (index bucket sizes before
-   residual filtering, cumulative over the prober's lifetime) — the
-   observable the adaptive fallback compares against the plan's scan
-   estimate, since stale statistics cannot show a skewed bucket but the
-   counter does. *)
-let build_indexed_prober db (ed : Co_schema.edge_def) (keys : edge_keys) ~(child : simple) :
-    ((Value.t array -> prober) * int ref) option =
-  let bind_residual, no_attrs, specialize = prober_ctx db ed keys ~child in
-  match keys.ek_key with
-  | Fk pairs -> begin
-    (* the first key pair with an index on its child column keys the
-       probe; the other key equalities filter as residuals *)
-    let rec pick = function
-      | [] -> None
-      | ((p, ch, _) as kp) :: rest -> begin
-        match Table.find_index child.s_table ~cols:[| ch |] with
-        | Some idx -> Some (p, idx, kp)
-        | None -> pick rest
-      end
-    in
-    match pick pairs with
-    | None -> None
-    | Some (parent_col, idx, kp) ->
-      let residual0 =
-        bind_residual
-          (List.filter_map (fun ((_, _, c) as kp') -> if kp' == kp then None else Some c) pairs
-          @ keys.ek_residual)
-      in
-      let scanned = ref 0 in
-      Some
-        ( (fun params ->
-            let sub, eval_attrs, child_ok = specialize params in
-            let residual = Option.map sub residual0 in
-            fun parent_row emit ->
-            let key_id = parent_row.(parent_col) in
-            if not (Dict.is_null key_id) then begin
-              let cands = Table.lookup_index child.s_table idx [| Dict.decode key_id |] in
-              scanned := !scanned + List.length cands;
-              if residual = None && no_attrs then
-                (* fast path: nothing reads the concat row — skip it *)
-                List.iter
-                  (fun (rowid, base_row) ->
-                    if child_ok base_row then emit rowid (Row.encode base_row) empty_enc)
-                  cands
-              else begin
-                let parent_dec = Row.decode parent_row in
-                List.iter
-                  (fun (rowid, base_row) ->
-                    if child_ok base_row then begin
-                      let concat = Row.concat parent_dec base_row in
-                      let keep =
-                        match residual with
-                        | None -> true
-                        | Some p -> Value.is_true (Expr.eval_pred concat p)
-                      in
-                      if keep then emit rowid (Row.encode base_row) (eval_attrs concat)
-                    end)
-                  cands
-              end
-            end),
-          scanned )
-  end
-  | Using { link; parent_bind; child_bind } -> begin
-    if parent_bind = [] || child_bind = [] then None
-    else
-      match
-        ( Table.find_index link ~cols:(Array.of_list (List.map fst parent_bind)),
-          Table.find_index child.s_table ~cols:(Array.of_list (List.map snd child_bind)) )
-      with
-      | Some link_idx, Some child_idx ->
-        let residual0 = bind_residual keys.ek_residual in
-        let scanned = ref 0 in
-        Some
-          ( (fun params ->
-              let sub, eval_attrs, child_ok = specialize params in
-              let residual = Option.map sub residual0 in
-              fun parent_row emit ->
-              let link_key =
-                Array.of_list (List.map (fun (_, p) -> Dict.decode parent_row.(p)) parent_bind)
-              in
-              if not (Array.exists Value.is_null link_key) then begin
-                let links = Table.lookup_index link link_idx link_key in
-                scanned := !scanned + List.length links;
-                let parent_dec =
-                  if residual <> None || not no_attrs then Row.decode parent_row else [||]
-                in
-                List.iter
-                  (fun (_, link_row) ->
-                    let child_key =
-                      Array.of_list (List.map (fun (l, _) -> link_row.(l)) child_bind)
-                    in
-                    if not (Array.exists Value.is_null child_key) then begin
-                      let cands = Table.lookup_index child.s_table child_idx child_key in
-                      scanned := !scanned + List.length cands;
-                      List.iter
-                        (fun (rowid, base_row) ->
-                          if child_ok base_row then begin
-                            if residual = None && no_attrs then
-                              emit rowid (Row.encode base_row) empty_enc
-                            else begin
-                              let concat =
-                                Row.concat (Row.concat parent_dec base_row) link_row
-                              in
-                              let keep =
-                                match residual with
-                                | None -> true
-                                | Some p -> Value.is_true (Expr.eval_pred concat p)
-                              in
-                              if keep then emit rowid (Row.encode base_row) (eval_attrs concat)
-                            end
-                          end)
-                        cands
-                    end)
-                  links
-              end),
-            scanned )
-      | _ -> None
-  end
+(* ---- batch hash builds ----
 
-(* ---- batch hash probing ----
-
-   The set-oriented default when no index serves the relationship: all
-   [parent.a = child.b] equality conjuncts form a composite key, a hash
-   table over the child extent keyed by the child half is built once, and
-   every frontier row probes it ([probe_hit]s come out exactly as for the
-   indexed path). USING relationships chain two builds: parent key ->
-   link rows -> child key -> child rows.
-
-   Builds hold ENCODED base rows keyed by [Dict.key_cell]-normalized id
-   arrays (one-column keys specialize to a raw-int hash table), with the
-   whole bucket stored as the hash-table VALUE — a probe is one [find]
+   The set-oriented candidate source when no index serves the
+   relationship: a hash table over the source table keyed by the key
+   columns is built once and every probe resolves through it. Builds hold
+   ENCODED base rows keyed by [Dict.key_cell]-normalized id arrays
+   (one-column keys specialize to a raw-int hash table), with the whole
+   bucket stored as the hash-table VALUE — a probe is one [find]
    returning the stored list, so the hot loop allocates nothing. A
    parameter-free child predicate is folded into the build (rows failing
    it are never entered); parameterized predicates and the edge's
@@ -682,137 +578,199 @@ let mk_hash_probe (tbl : hash_tbl) (cols : int array) : Row.enc -> hash_entries 
       Array.iteri (fun i ci -> scratch.(i) <- Dict.key_cell row.(ci)) cols;
       probe_multi t scratch
 
-(* fast-path delivery: emit every bucket entry, counting candidates —
-   top-level so the loop closes over nothing *)
-let rec emit_hits scanned (emit : emit) = function
+(* ---- candidate sources ----
+
+   A candidate source answers "rows for this key": [src row f] calls
+   [f rowid enc] for every candidate whose key equals [row]'s key
+   columns, with the candidate's ENCODED row. A stored index looks the
+   boxed key up with [Table.lookup_index] and encodes each hit; a build
+   hands out its stored bucket as-is. Here, once for both: NULL keys
+   match nothing, and every candidate — before residual filtering —
+   counts into the prober's [scanned] counter, the observable the
+   adaptive fallback compares against the plan's scan estimate (stale
+   statistics cannot show a skewed bucket, the counter does). *)
+
+type hits = int -> Row.enc -> unit
+type source = Row.enc -> hits -> unit
+
+type source_kind =
+  | Index of Table.t * Index.t  (** a stored index keyed exactly by the lookup's key columns *)
+  | Build of hash_source
+
+type lookup = int array * source_kind  (** probing row's key columns, candidate source *)
+
+let always _ = true
+
+(* top-level loops, so a probe closes over nothing *)
+let rec index_hits scanned ok (f : hits) = function
+  | [] -> ()
+  | (rowid, row) :: rest ->
+    incr scanned;
+    if ok row then f rowid (Row.encode row);
+    index_hits scanned ok f rest
+
+let rec build_hits scanned (f : hits) = function
   | [] -> ()
   | (rowid, enc) :: rest ->
     incr scanned;
-    emit rowid enc empty_enc;
-    emit_hits scanned emit rest
+    f rowid enc;
+    build_hits scanned f rest
 
-(* build the batch-hash prober for [ed] from its key analysis — same
-   contract as [build_indexed_prober] (including the candidate-scan
-   counter: bucket sizes before residual filtering), but resolving
-   matches through version-cached hash builds instead of stored indexes,
-   so it applies to any equality-joined simple child. [compile_def]
-   builds it only where [Edge_cost.candidates] lists hash, i.e. the key
-   has columns on both sides. Builds/reuses happen when the returned
-   closure is applied to the EXECUTE-time [params] — once per fetch.
-   [source] hands out the plan's shared hash sources ({!source_memo}). *)
-let build_hash_prober ~source db (ed : Co_schema.edge_def) (keys : edge_keys) ~(child : simple) :
-    (Value.t array -> prober) * int ref =
-  let bind_residual, no_attrs, specialize = prober_ctx db ed keys ~child in
+(* open a source for one execution, keyed by the probing row's [cols]: a
+   build is (re)built or reused here; a stored index filters candidates
+   with [ok] on their boxed rows before encoding them (a build folds its
+   parameter-free predicate in instead) *)
+let open_source scanned ~ok ((cols, kind) : lookup) : source =
+  match kind with
+  | Index (tbl, idx) ->
+    let n = Array.length cols in
+    fun row f ->
+      let key = Array.make n Value.Null and null = ref false in
+      for i = 0 to n - 1 do
+        let id = row.(cols.(i)) in
+        if Dict.is_null id then null := true else key.(i) <- Dict.decode id
+      done;
+      if not !null then index_hits scanned ok f (Table.lookup_index tbl idx key)
+  | Build hs ->
+    let find = mk_hash_probe (ensure_build hs) cols in
+    fun row f -> build_hits scanned f (find row)
+
+(* ---- key chains ----
+
+   The lookups one strategy probes an edge with. An FK edge is one lookup
+   keyed by parent columns; a USING edge chains two: parent -> link rows
+   -> child rows. The indexed chain keys an FK edge by its first pair
+   with an index on the child column and leaves the other pairs to the
+   residual; the hash chain keys it by all pairs. *)
+
+type key_chain = {
+  kc_link : lookup option;  (** USING: parent -> link rows *)
+  kc_child : lookup;  (** parent (or link) -> child rows *)
+  kc_residual : Sql_ast.expr list;  (** key conjuncts the chain leaves unconsumed *)
+}
+
+(* the chain's lookups over [fk_pairs] (an FK edge) or the link bindings:
+   (probing row's columns, source table, source key columns) *)
+let lookups (keys : edge_keys) ~(child : simple) fk_pairs =
+  let cols f l = Array.of_list (List.map f l) in
+  match keys.ek_key with
+  | Fk _ ->
+    (None, (cols (fun (p, _, _) -> p) fk_pairs, child.s_table, cols (fun (_, ch, _) -> ch) fk_pairs))
+  | Using { link; parent_bind; child_bind } ->
+    ( Some (cols snd parent_bind, link, cols fst parent_bind),
+      (cols fst child_bind, child.s_table, cols snd child_bind) )
+
+let indexed_chain (keys : edge_keys) ~(child : simple) : key_chain option =
+  let indexed (probe_cols, tbl, key_cols) =
+    if probe_cols = [||] then None
+    else Option.map (fun idx -> (probe_cols, Index (tbl, idx))) (Table.find_index tbl ~cols:key_cols)
+  in
+  let chain fk_pairs kc_residual =
+    let link, child = lookups keys ~child fk_pairs in
+    match Option.map indexed link, indexed child with
+    | None, Some kc_child -> Some { kc_link = None; kc_child; kc_residual }
+    | Some (Some l), Some kc_child -> Some { kc_link = Some l; kc_child; kc_residual }
+    | _ -> None
+  in
+  match keys.ek_key with
+  | Fk pairs ->
+    List.find_map
+      (fun kp ->
+        chain [ kp ]
+          (List.filter_map (fun ((_, _, c) as kp') -> if kp' == kp then None else Some c) pairs))
+      pairs
+  | Using _ -> chain [] []
+
+let hash_chain ~source (keys : edge_keys) ~(child : simple) : key_chain =
   (* a parameter-free child predicate filters at BUILD time, so probes
      skip per-candidate predicate evaluation (and the decode it needs);
-     a parameterized one must stay at probe time *)
+     a parameterized one stays at probe time *)
   let build_pred =
     match child.s_pred with Some p when not (Expr.has_param p) -> Some p | _ -> None
   in
-  let probe_pred = if build_pred = None then child.s_pred else None in
-  let residual0 = bind_residual keys.ek_residual in
+  let build pred (probe_cols, tbl, key_cols) = (probe_cols, Build (source tbl key_cols pred)) in
+  let link, child = lookups keys ~child (match keys.ek_key with Fk pairs -> pairs | Using _ -> []) in
+  { kc_link = Option.map (build None) link; kc_child = build build_pred child; kc_residual = [] }
+
+(* [Row.decode] remembering its last argument: the hits of one frontier
+   row share one decoded parent (and link) row *)
+let decode_memo () =
+  let last = ref empty_enc and dec = ref [||] in
+  fun enc ->
+    if enc != !last then begin
+      last := enc;
+      dec := Row.decode enc
+    end;
+    !dec
+
+(* build the prober for [ed] over one key chain. The result is
+   parameterized over EXECUTE-time values: applying it to a [params]
+   array substitutes the parameter slots once, opens the chain's sources
+   (building or reusing hash builds — once per fetch) and yields the
+   prober. The [int ref] counts candidate rows scanned, cumulative over
+   the prober's lifetime. *)
+let build_prober db (ed : Co_schema.edge_def) (keys : edge_keys) ~(child : simple)
+    (chain : key_chain) : (Value.t array -> prober) * int ref =
+  let bind_residual, no_attrs, specialize = prober_ctx db ed keys ~child in
+  let residual0 = bind_residual (chain.kc_residual @ keys.ek_residual) in
+  let using = chain.kc_link <> None in
+  (* the child predicate neither source applies: a stored index filters
+     its candidates, a build folds in only a parameter-free predicate *)
+  let probe_pred =
+    match snd chain.kc_child with
+    | Build { hs_pred = None; _ } -> child.s_pred <> None
+    | Build _ | Index _ -> false
+  in
   let scanned = ref 0 in
-  match keys.ek_key with
-  | Fk pairs ->
-    (* every key equality parent.a = child.b joins the composite key *)
-    let parent_cols = Array.of_list (List.map (fun (p, _, _) -> p) pairs) in
-    let source =
-      source child.s_table (Array.of_list (List.map (fun (_, ch, _) -> ch) pairs)) build_pred
-    in
-    ( (fun params ->
-        let sub, eval_attrs, child_ok = specialize params in
-        let child_ok = if probe_pred = None then fun _ -> true else child_ok in
-        let residual = Option.map sub residual0 in
-        let probe_k = mk_hash_probe (ensure_build source) parent_cols in
-        if residual = None && no_attrs && probe_pred = None then
-          (* fast path: nothing reads any decoded row — one hash
-             find, then emit the stored bucket as-is *)
-          fun parent_row emit -> emit_hits scanned emit (probe_k parent_row)
-        else
-          fun parent_row emit ->
-            let cands = probe_k parent_row in
-            if cands <> [] then begin
-              let parent_dec =
-                if residual <> None || not no_attrs then Row.decode parent_row else [||]
-              in
-              List.iter
-                (fun (rowid, enc) ->
-                  incr scanned;
-                  let base_row = Row.decode enc in
-                  if child_ok base_row then begin
-                    if residual = None && no_attrs then emit rowid enc empty_enc
-                    else begin
-                      let concat = Row.concat parent_dec base_row in
-                      let keep =
-                        match residual with
-                        | None -> true
-                        | Some p -> Value.is_true (Expr.eval_pred concat p)
-                      in
-                      if keep then emit rowid enc (eval_attrs concat)
-                    end
-                  end)
-                cands
-            end),
-      scanned )
-  | Using { link; parent_bind; child_bind } ->
-    let parent_cols = Array.of_list (List.map snd parent_bind) in
-    let link_ccols = Array.of_list (List.map fst child_bind) in
-    let link_source = source link (Array.of_list (List.map fst parent_bind)) None in
-    let child_source = source child.s_table (Array.of_list (List.map snd child_bind)) build_pred in
-    ( (fun params ->
-        let sub, eval_attrs, child_ok = specialize params in
-        let child_ok = if probe_pred = None then fun _ -> true else child_ok in
-        let residual = Option.map sub residual0 in
-        let probe_l = mk_hash_probe (ensure_build link_source) parent_cols in
-        let probe_c = mk_hash_probe (ensure_build child_source) link_ccols in
-        if residual = None && no_attrs && probe_pred = None then
-          fun parent_row emit ->
-            let rec go = function
-              | [] -> ()
-              | (_, link_enc) :: rest ->
-                incr scanned;
-                emit_hits scanned emit (probe_c link_enc);
-                go rest
+  ( (fun params ->
+      let sub, eval_attrs, child_ok = specialize params in
+      let residual = Option.map sub residual0 in
+      let link_src = Option.map (open_source scanned ~ok:always) chain.kc_link in
+      let child_src = open_source scanned ~ok:child_ok chain.kc_child in
+      let child_ok = if probe_pred then child_ok else always in
+      let fast = residual = None && no_attrs && not probe_pred in
+      fun emit ->
+        let parent = ref empty_enc and link = ref empty_enc in
+        (* one delivery routine: the fast path emits the candidate as-is;
+           the slow path applies child predicate -> concat -> residual ->
+           attributes *)
+        let deliver : hits =
+          if fast then fun rowid enc -> emit rowid enc empty_enc
+          else begin
+            let parent_dec = decode_memo () and link_dec = decode_memo () in
+            fun rowid enc ->
+              let base = Row.decode enc in
+              if child_ok base then begin
+                if residual = None && no_attrs then emit rowid enc empty_enc
+                else begin
+                  let concat = Row.concat (parent_dec !parent) base in
+                  let concat = if using then Row.concat concat (link_dec !link) else concat in
+                  let keep =
+                    match residual with
+                    | None -> true
+                    | Some p -> Value.is_true (Expr.eval_pred concat p)
+                  in
+                  if keep then emit rowid enc (eval_attrs concat)
+                end
+              end
+          end
+        in
+        let probe =
+          match link_src with
+          | None -> child_src
+          | Some link_src ->
+            let via _ enc =
+              link := enc;
+              child_src enc deliver
             in
-            go (probe_l parent_row)
+            fun row _ -> link_src row via
+        in
+        if fast then fun row -> probe row deliver
         else
-          fun parent_row emit ->
-            let links = probe_l parent_row in
-            if links <> [] then begin
-              let parent_dec =
-                if residual <> None || not no_attrs then Row.decode parent_row else [||]
-              in
-              List.iter
-                (fun (_, link_enc) ->
-                  incr scanned;
-                  let cands = probe_c link_enc in
-                  if cands <> [] then begin
-                    let link_row =
-                      if residual <> None || not no_attrs then Row.decode link_enc else [||]
-                    in
-                    List.iter
-                      (fun (rowid, enc) ->
-                        incr scanned;
-                        let base_row = Row.decode enc in
-                        if child_ok base_row then begin
-                          if residual = None && no_attrs then emit rowid enc empty_enc
-                          else begin
-                            let concat =
-                              Row.concat (Row.concat parent_dec base_row) link_row
-                            in
-                            let keep =
-                              match residual with
-                              | None -> true
-                              | Some p -> Value.is_true (Expr.eval_pred concat p)
-                            in
-                            if keep then emit rowid enc (eval_attrs concat)
-                          end
-                        end)
-                      cands
-                  end)
-                links
-            end),
-      scanned )
+          fun row ->
+            parent := row;
+            probe row deliver),
+    scanned )
 
 (* the generic join tree for an edge, over [__tid]-bearing temps *)
 let edge_tree db (ed : Co_schema.edge_def) ~parent_temp ~child_temp =
@@ -890,7 +848,7 @@ let col_name schema i = (Schema.col schema i).Schema.col_name
 
 (* [keys] is the simple child with its key analysis (None: the child is
    not simple and only the generic path applies); [indexed] whether the
-   indexed prober could be built *)
+   indexed key chain found its indexes *)
 let edge_shape_of (ed : Co_schema.edge_def) ~(parent_schema : Schema.t) ~keys ~indexed :
     edge_shape =
   let base =
@@ -996,6 +954,10 @@ type node_plan = {
   np_schema : Schema.t;
   np_upd : Semantic.node_updatability option;
 }
+
+let node_shape (name, np) =
+  { ns_name = name; ns_table = Option.map (fun s -> Table.name s.s_table) np.np_simple;
+    ns_pred = Option.bind np.np_simple (fun s -> s.s_pred); ns_query = np.np_def.Co_schema.nd_query }
 
 (* one compiled access path: relationship-attribute schema, parameterized
    prober (its closure owns any version-cached hash builds), and the
@@ -1104,19 +1066,18 @@ let compile_def ?(take = Xnf_ast.Take_star) ?force db (def : Co_schema.t) : comp
         let keys =
           Option.map (fun c -> (c, analyze_keys db ed ~parent_schema ~child:c)) child.np_simple
         in
-        let probe_path (_, k) (f, scanned) =
+        let probe_path (c, k) chain =
+          let f, scanned = build_prober db ed k ~child:c chain in
           { bp_schema = attr_schema db ed k.ek_concat; bp_fn = f; bp_scanned = scanned }
         in
         let ec_indexed =
           Option.bind keys (fun ((c, k) as ck) ->
-              Option.map (probe_path ck) (build_indexed_prober db ed k ~child:c))
+              Option.map (probe_path ck) (indexed_chain k ~child:c))
         in
         let shape = edge_shape_of ed ~parent_schema ~keys ~indexed:(ec_indexed <> None) in
         let ec_hash =
           if List.mem S_hash (Edge_cost.candidates shape) then
-            Option.map
-              (fun ((c, k) as ck) -> probe_path ck (build_hash_prober ~source db ed k ~child:c))
-              keys
+            Option.map (fun ((c, k) as ck) -> probe_path ck (hash_chain ~source k ~child:c)) keys
           else None
         in
         let cands =
@@ -1138,17 +1099,9 @@ let compile_def ?(take = Xnf_ast.Take_star) ?force db (def : Co_schema.t) : comp
   let ests =
     if not cost_based then []
     else begin
-      let shape_nodes =
-        List.map
-          (fun (name, np) ->
-            { ns_name = name;
-              ns_table = Option.map (fun s -> Table.name s.s_table) np.np_simple;
-              ns_pred = Option.bind np.np_simple (fun s -> s.s_pred);
-              ns_query = np.np_def.Co_schema.nd_query })
-          nodes
-      in
       let _, ests =
-        Edge_cost.annotate ctx ~nodes:shape_nodes ~shapes:(List.map (fun (_, _, s) -> s) cand_edges)
+        Edge_cost.annotate ctx ~nodes:(List.map node_shape nodes)
+          ~shapes:(List.map (fun (_, _, s) -> s) cand_edges)
       in
       List.map (fun (ee : Edge_cost.edge_est) -> (ee.Edge_cost.ee_edge, ee)) ests
     end
@@ -1245,14 +1198,7 @@ let edge_shapes (cp : compiled) : edge_shape list = cp.cp_shapes
 
 (** [node_shapes cp] is the derivation shape per node, in definition
     order. *)
-let node_shapes (cp : compiled) : node_shape list =
-  List.map
-    (fun (name, np) ->
-      { ns_name = name;
-        ns_table = Option.map (fun s -> Table.name s.s_table) np.np_simple;
-        ns_pred = Option.bind np.np_simple (fun s -> s.s_pred);
-        ns_query = np.np_def.Co_schema.nd_query })
-    cp.cp_nodes
+let node_shapes (cp : compiled) : node_shape list = List.map node_shape cp.cp_nodes
 
 (** [node_access cp] is the base-table access path chosen per node. *)
 let node_access (cp : compiled) : (string * Access_path.t) list =
@@ -1268,13 +1214,20 @@ let compiled_def (cp : compiled) : Co_schema.t = cp.cp_def
 (** [base_tables cp] is the staleness-tracked base-table set. *)
 let base_tables (cp : compiled) : string list = cp.cp_base_tables
 
-(* per-edge adaptive runtime state for one execution: which strategy is
-   serving, its specialized prober (None = generic path), and the observed
-   frontier/connection/candidate-scan counters the between-rounds check
-   compares against the plan's estimates *)
+(* ---- execution: a short driver over roots, fixpoint, connections and
+   restrictions, sharing one per-fetch runtime record ---- *)
+
+(* per-edge runtime state for one execution: the substituted definition,
+   the connection buffer its probes fill, which strategy is serving, its
+   prober bound to this execution's parameters (None = generic path), and
+   the observed frontier/connection/candidate-scan counters the
+   between-rounds adaptive check compares against the plan's estimates *)
 type edge_rt = {
-  er_name : string;
+  er_def : Co_schema.edge_def;  (** [?] slots substituted: the generic path re-binds it *)
   er_plan : edge_plan;
+  er_parent : node_rt;
+  er_child : node_rt;
+  er_buf : Cache.conns;
   mutable er_serving : strategy;
   mutable er_probe : prober option;
   mutable er_bp : built_prober option;  (** serving prober's compile-time record *)
@@ -1284,6 +1237,349 @@ type edge_rt = {
   mutable er_switched : bool;  (** divergence handled — at most one switch per execution *)
   mutable er_probe_ns : float;  (** wall time spent in this edge's probe batches *)
 }
+
+type run = {
+  ru_db : Db.t;
+  ru_cp : compiled;
+  ru_params : Value.t array;
+  ru_nodes : (string * node_rt) list;
+  ru_edges : edge_rt list;  (** definition order *)
+}
+
+(* instate strategy [s] on an edge: binding the parameter slots into its
+   prober; batch-hash edges (re)build or reuse their version-cached hash
+   tables here, once per fetch *)
+let set_serving params er s =
+  er.er_serving <- s;
+  let bp =
+    match s with
+    | S_indexed -> er.er_plan.ep_cands.ec_indexed
+    | S_hash -> er.er_plan.ep_cands.ec_hash
+    | S_generic -> None
+  in
+  er.er_bp <- bp;
+  match bp with
+  | Some bp ->
+    er.er_probe <- Some (bp.bp_fn params);
+    er.er_scan_base <- !(bp.bp_scanned)
+  | None -> er.er_probe <- None
+
+(* fresh per-fetch node state from the immutable plan; warm
+   re-executions presize from the previous run's cardinalities so the
+   hot loop pays no growth-doubling churn *)
+let hint (cp : compiled) key fallback =
+  match List.assoc_opt key cp.cp_hints with
+  | Some n when n > 0 -> n + n / 8
+  | _ -> fallback
+
+let node_rts (cp : compiled) params =
+  let sub_pred p = if Array.length params = 0 then p else Option.map (Expr.subst_params params) p in
+  List.map
+    (fun (name, np) ->
+      let nd =
+        if Array.length params = 0 then np.np_def
+        else
+          { np.np_def with
+            Co_schema.nd_query = Sql_ast.subst_params_select params np.np_def.Co_schema.nd_query }
+      in
+      let simple = Option.map (fun s -> { s with s_pred = sub_pred s.s_pred }) np.np_simple in
+      let access =
+        if Array.length params = 0 then np.np_access else Access_path.subst_params params np.np_access
+      in
+      let ni =
+        Cache.make_node ~size_hint:(hint cp ("n:" ^ name) 64) ~schema:np.np_schema ~upd:np.np_upd name
+      in
+      ( name,
+        { nr_def = nd; nr_simple = simple; nr_access = access; nr_ni = ni; nr_extent = None;
+          nr_temp = None; nr_tid2pos = Intmap.create ~size:16; nr_mark = 0; nr_limit = 0 } ))
+    cp.cp_nodes
+
+(* per edge: serving starts from the plan's effective strategy, so a
+   plan-cache hit keeps the strategy a previous execution learned.
+   Connection production fuses into the reachability pass; matches fill
+   the cache's struct-of-arrays buffers directly — two int pushes per
+   match, attribute rows only on edges that declare them — and the
+   readout adopts the buffers wholesale *)
+let edge_rts (cp : compiled) params nodes =
+  let sub_expr e = if Array.length params = 0 then e else Sql_ast.subst_params_expr params e in
+  let serving = effective_strategies cp in
+  List.map
+    (fun (ed : Co_schema.edge_def) ->
+      let name = ed.Co_schema.ed_name in
+      let er =
+        { er_def =
+            { ed with
+              Co_schema.ed_pred = sub_expr ed.Co_schema.ed_pred;
+              ed_attrs = List.map (fun (e, n) -> (sub_expr e, n)) ed.Co_schema.ed_attrs };
+          er_plan = List.assoc name cp.cp_edges;
+          er_parent = List.assoc ed.Co_schema.ed_parent nodes;
+          er_child = List.assoc ed.Co_schema.ed_child nodes;
+          er_buf =
+            Cache.make_conns ~size_hint:(hint cp ("e:" ^ name) 8) ~attrs:(ed.Co_schema.ed_attrs <> []) ();
+          er_serving = S_generic; er_probe = None; er_bp = None; er_scan_base = 0; er_probed = 0;
+          er_conns = 0; er_switched = false; er_probe_ns = 0. }
+      in
+      set_serving params er (List.assoc name serving);
+      er)
+    cp.cp_def.Co_schema.co_edges
+
+(* roots: set-oriented evaluation of the derivations *)
+let roots run =
+  List.iter
+    (fun (nd : Co_schema.node_def) ->
+      Obs.Trace.with_span ("node:" ^ nd.Co_schema.nd_name) @@ fun () ->
+      let r = List.assoc nd.Co_schema.nd_name run.ru_nodes in
+      note_query ();
+      (match r.nr_simple with
+      | Some s ->
+        Obs.Trace.add_meta "access" (Access_path.describe r.nr_access);
+        iter_simple s r.nr_access (fun rowid enc -> ignore (Cache.add_tuple r.nr_ni ~rowid enc))
+      | None ->
+        Obs.Trace.add_meta "access" "sql";
+        let x = ensure_extent run.ru_db r in
+        Array.iteri
+          (fun tid row ->
+            let pos = Cache.add_tuple r.nr_ni ~rowid:x.x_rowids.(tid) row in
+            Intmap.set r.nr_tid2pos tid pos)
+          x.x_rows);
+      Obs.Trace.add_meta "rows" (string_of_int (Cache.live_count r.nr_ni)))
+    (Co_schema.roots run.ru_cp.cp_def)
+
+(* prober hits deliver the child's encoded BASE row; project to the
+   node's output columns only when the tuple is first materialized. An
+   identity projection shares the build's row array with the cache
+   tuple — safe, because in-cache rows are never mutated in place
+   ([Udi] copies before writing, TAKE replaces the array). *)
+let child_proj child_rt =
+  match child_rt.nr_simple with
+  | Some s ->
+    let n = Array.length s.s_proj in
+    let identity =
+      n = Schema.arity (Table.schema s.s_table)
+      &&
+      let rec all_id i = i >= n || (s.s_proj.(i) = i && all_id (i + 1)) in
+      all_id 0
+    in
+    if identity then fun (enc : Row.enc) -> enc else fun enc -> Row.project_enc enc s.s_proj
+  | None -> fun enc -> enc
+
+(* one edge's probe of its parent slice through its OCaml prober; true
+   when a child tuple was created *)
+let probe_batch er (probe : prober) =
+  note_query ();
+  let parent_rt = er.er_parent and child_rt = er.er_child in
+  let proj = child_proj child_rt in
+  let changed = ref false in
+  (* one emit closure per batch (not per frontier row): the current
+     parent position threads through a mutable cell *)
+  let cur = ref 0 in
+  let probe_row =
+    probe (fun rowid enc attrs ->
+        let cpos = Cache.pos_of_rowid child_rt.nr_ni rowid in
+        let cpos =
+          if cpos >= 0 then cpos
+          else begin
+            changed := true;
+            Cache.add_tuple child_rt.nr_ni ~rowid (proj enc)
+          end
+        in
+        ignore (Cache.push_conn er.er_buf ~parent:!cur ~child:cpos ~attrs);
+        er.er_conns <- er.er_conns + 1)
+  in
+  for pos = parent_rt.nr_mark to parent_rt.nr_limit - 1 do
+    cur := pos;
+    probe_row (Cache.tuple parent_rt.nr_ni pos).Cache.t_row
+  done;
+  !changed
+
+(* the generic path: the parent slice as a temp, joined to the child's
+   materialized extent through the relational engine; true when a child
+   tuple was created *)
+let probe_generic run er =
+  let parent_rt = er.er_parent and child_rt = er.er_child in
+  let child_temp = ensure_temp run.ru_db child_rt in
+  let parent_temp =
+    make_temp parent_rt.nr_ni.Cache.ni_schema
+      (Seq.map
+         (fun pos -> (pos, (Cache.tuple parent_rt.nr_ni pos).Cache.t_row))
+         (Seq.init (parent_rt.nr_limit - parent_rt.nr_mark) (fun i -> parent_rt.nr_mark + i)))
+  in
+  let x = Option.get child_rt.nr_extent in
+  let changed = ref false in
+  (* child position for an extent tid, creating the tuple on first
+     reach; dedupes by rowid too, in case another (indexed/hash) edge
+     already delivered this base row *)
+  let pos_of_tid tid =
+    let known = Intmap.get child_rt.nr_tid2pos tid in
+    if known >= 0 then known
+    else begin
+      let rid = x.x_rowids.(tid) in
+      let by_rowid = if rid >= 0 then Cache.pos_of_rowid child_rt.nr_ni rid else -1 in
+      let pos =
+        if by_rowid >= 0 then by_rowid
+        else begin
+          changed := true;
+          Cache.add_tuple child_rt.nr_ni ~rowid:rid x.x_rows.(tid)
+        end
+      in
+      Intmap.set child_rt.nr_tid2pos tid pos;
+      pos
+    end
+  in
+  List.iter
+    (fun (ppos, tid, attrs) ->
+      ignore (Cache.push_conn er.er_buf ~parent:ppos ~child:(pos_of_tid tid) ~attrs:(Row.encode attrs));
+      er.er_conns <- er.er_conns + 1)
+    (probe_edge_generic_fused run.ru_db er.er_def ~parent_temp ~child_temp);
+  !changed
+
+(* ---- adaptive mid-fixpoint fallback ----
+
+   After each semi-naive round with more work pending, compare the
+   observed frontier / connection / candidate-scan counters per edge
+   against the plan's estimates. Beyond [adaptive_factor] divergence
+   (with at least [adaptive_min_rows] observed rows), re-pick through
+   the planner's own [Edge_cost.best] fed observed counts — live
+   cardinalities replace the evidently-unreliable snapshot extents, so
+   the runtime check and the compile-time pick cannot disagree on the
+   same numbers — and switch the edge's serving strategy for subsequent
+   rounds. The switch is recorded on the plan (EXPLAIN ANALYZE,
+   sys.plans) and reused by plan-cache hits; at most one switch per edge
+   per execution, so estimates can never cause flapping. Only
+   cost-picked, unforced plans are eligible. *)
+let adaptive_check run round =
+  let cp = run.ru_cp in
+  let live_card t =
+    match Catalog.table_opt (Db.catalog run.ru_db) t with
+    | Some tbl -> float_of_int (Table.cardinality tbl)
+    | None -> infinity
+  in
+  List.iter
+    (fun er ->
+      let name = er.er_def.Co_schema.ed_name in
+      match List.assoc_opt name cp.cp_ests with
+      | Some ee when not er.er_switched ->
+        let fmin = float_of_int (adaptive_min_rows ()) in
+        let factor = adaptive_factor () in
+        let f = float_of_int er.er_probed in
+        let c = float_of_int er.er_conns in
+        let scan =
+          match er.er_bp with
+          | Some bp -> float_of_int (!(bp.bp_scanned) - er.er_scan_base)
+          | None -> 0.
+        in
+        let est_scan =
+          match er.er_serving with
+          | S_indexed -> f *. Float.max 1. ee.Edge_cost.ee_cand_fan
+          | S_hash -> f *. Float.max 1. ee.Edge_cost.ee_fanout
+          | S_generic -> 0.
+        in
+        let exceeds obs est = obs >= fmin && obs > factor *. Float.max 1. est in
+        if
+          exceeds f ee.Edge_cost.ee_frontier
+          || exceeds c ee.Edge_cost.ee_conns
+          || (er.er_serving <> S_generic && exceeds scan est_scan)
+        then begin
+          er.er_switched <- true;
+          let shape = List.find (fun s -> s.es_name = name) cp.cp_shapes in
+          let live_child =
+            match shape.es_child_table with None -> infinity | Some t -> live_card t
+          in
+          let live_build =
+            match shape.es_using with
+            | Some (l, _) -> live_child +. live_card l
+            | None -> live_child
+          in
+          (* an indexed edge's observed scan replaces the
+             candidate-fanout estimate *)
+          let observed =
+            { ee with
+              Edge_cost.ee_frontier = f; ee_conns = c; ee_child = live_child; ee_build = live_build;
+              ee_cand_fan =
+                (if er.er_serving = S_indexed then scan /. Float.max 1. f
+                 else ee.Edge_cost.ee_cand_fan) }
+          in
+          let target, _ =
+            Edge_cost.best observed ~candidates:(Edge_cost.candidates shape) ~frontier:f ~conns:c
+          in
+          if target <> er.er_serving then begin
+            let sw = { sw_edge = name; sw_from = er.er_serving; sw_to = target; sw_round = round } in
+            cp.cp_switches <- sw :: List.filter (fun s -> s.sw_edge <> name) cp.cp_switches;
+            Obs.Metrics.incr m_strategy_switches;
+            set_serving run.ru_params er target
+          end
+        end
+      | _ -> ())
+    run.ru_edges
+
+(* reachability: a delta fixpoint over the schema graph. Every tuple is
+   created exactly once, so creation order IS the queue: each round
+   probes, per node, the position slice [nr_mark, nr_limit) snapshotted
+   at round start, and tuples created during the round land beyond
+   [nr_limit]. Semi-naive, the slice is what the previous round created;
+   naive (the E6 ablation), it starts at 0 — every tuple is live during
+   the fixpoint, so each round re-probes every parent from scratch, with
+   the connection buffers cleared: the last round adds no tuple and
+   therefore leaves the full connection set. Returns the round count. *)
+let fixpoint run mode =
+  let cp = run.ru_cp in
+  let changed = ref true and round = ref 0 in
+  while !changed do
+    changed := false;
+    incr round;
+    Obs.Metrics.incr m_rounds;
+    List.iter
+      (fun (_, r) ->
+        r.nr_mark <- (match mode with Semi_naive -> r.nr_limit | Naive -> 0);
+        r.nr_limit <- Vec.length r.nr_ni.Cache.ni_tuples)
+      run.ru_nodes;
+    if mode = Naive then List.iter (fun er -> er.er_buf.Cache.cs_len <- 0) run.ru_edges;
+    List.iter
+      (fun er ->
+        let n_probes = er.er_parent.nr_limit - er.er_parent.nr_mark in
+        if n_probes > 0 then begin
+          Obs.Metrics.incr ~by:n_probes m_tuples_probed;
+          er.er_probed <- er.er_probed + n_probes;
+          (* rounds interleave the edges, so each edge's probe time is
+             accumulated here and reported on its connections span *)
+          let t0 = Obs.Metrics.now_ns () in
+          let grew =
+            match er.er_probe with
+            | Some probe ->
+              if er.er_serving = S_hash then Obs.Metrics.incr m_hash_probes;
+              probe_batch er probe
+            | None -> probe_generic run er
+          in
+          if grew then changed := true;
+          er.er_probe_ns <- er.er_probe_ns +. (Obs.Metrics.now_ns () -. t0)
+        end)
+      run.ru_edges;
+    if mode = Semi_naive && !changed && cp.cp_force = None && cp.cp_ests <> [] then
+      adaptive_check run !round
+  done;
+  !round
+
+(* connection extents over the reached instance: the matches were already
+   produced during reachability — this is a readout of the per-edge
+   buffers, no further query runs *)
+let connections run =
+  List.map
+    (fun er ->
+      let ed = er.er_def in
+      Obs.Trace.with_span ("edge:" ^ ed.Co_schema.ed_name) @@ fun () ->
+      let attr_schema =
+        match er.er_bp with Some bp -> bp.bp_schema | None -> er.er_plan.ep_cands.ec_generic_schema
+      in
+      (* adopt the buffer wholesale as the edge's connection store —
+         zero-copy, filled in delivery order *)
+      Obs.Trace.add_meta "conns" (string_of_int er.er_buf.Cache.cs_len);
+      Obs.Trace.add_meta "probe_ms" (Printf.sprintf "%.3f" (er.er_probe_ns /. 1e6));
+      ( ed.Co_schema.ed_name,
+        { Cache.ei_name = ed.Co_schema.ed_name; ei_parent = ed.Co_schema.ed_parent;
+          ei_child = ed.Co_schema.ed_child; ei_parent_node = er.er_parent.nr_ni;
+          ei_child_node = er.er_child.nr_ni; ei_attr_schema = attr_schema; ei_conns = er.er_buf;
+          ei_adj = None; ei_upd = Semantic.Upd_readonly "pending analysis" } ))
+    run.ru_edges
 
 (* substitute EXECUTE-time values into the symbolic (instance-evaluated)
    restrictions *)
@@ -1296,439 +1592,67 @@ let subst_restrictions params restrs =
         | R_edge r -> R_edge { r with re_pred = Xnf_ast.subst_params_xexpr params r.re_pred })
       restrs
 
+(* path-based restrictions over the instance, then reachability *)
+let restrictions cache path_restrs =
+  List.iter
+    (function
+      | R_node { rn_node; rn_var; rn_pred } ->
+        let ni = Cache.node cache rn_node in
+        let keep = Path.eval_node_restriction cache ~node:rn_node ~var:rn_var rn_pred in
+        let keep_set = Hashtbl.create 64 in
+        List.iter (fun p -> Hashtbl.replace keep_set p ()) keep;
+        Vec.iter
+          (fun t ->
+            if t.Cache.t_live && not (Hashtbl.mem keep_set t.Cache.t_pos) then t.Cache.t_live <- false)
+          ni.Cache.ni_tuples
+      | R_edge { re_edge; re_parent_var; re_child_var; re_pred } ->
+        let ei = Cache.edge cache re_edge in
+        let pvar = String.lowercase_ascii re_parent_var
+        and cvar = String.lowercase_ascii re_child_var in
+        for i = 0 to Cache.conn_count ei - 1 do
+          if Cache.conn_live_at ei i then begin
+            let env =
+              [ (pvar, { Path.b_node = ei.Cache.ei_parent; b_pos = Cache.conn_parent_at ei i });
+                (cvar, { Path.b_node = ei.Cache.ei_child; b_pos = Cache.conn_child_at ei i }) ]
+            in
+            if not (Value.is_true (Path.eval_pred cache env re_pred)) then
+              Cache.set_conn_live ei i false
+          end
+        done)
+    path_restrs;
+  Cache.recompute_reachability cache
+
 (** [execute_def ?fixpoint ?params db cp path_restrs] evaluates a compiled
     plan into a cache (before TAKE projection and final updatability
     analysis), substituting [params] for the [?] slots. *)
-let execute_def ?(fixpoint = Semi_naive) ?(params = [||]) db (cp : compiled)
+let execute_def ?fixpoint:(mode = Semi_naive) ?(params = [||]) db (cp : compiled)
     (path_restrs : restriction list) : Cache.t =
-  let catalog = Db.catalog db in
-  let def = cp.cp_def in
-  let sub_select q = if Array.length params = 0 then q else Sql_ast.subst_params_select params q in
-  let sub_expr e = if Array.length params = 0 then e else Sql_ast.subst_params_expr params e in
-  let sub_pred p = if Array.length params = 0 then p else Option.map (Expr.subst_params params) p in
-  let path_restrs = subst_restrictions params path_restrs in
-  (* fresh per-fetch runtime state from the immutable plan; warm
-     re-executions presize from the previous run's cardinalities so the
-     hot loop pays no growth-doubling churn *)
-  let hint key fallback =
-    match List.assoc_opt key cp.cp_hints with
-    | Some n when n > 0 -> n + n / 8
-    | _ -> fallback
-  in
-  let nodes_rt =
-    List.map
-      (fun (name, np) ->
-        let nd =
-          { np.np_def with Co_schema.nd_query = sub_select np.np_def.Co_schema.nd_query }
-        in
-        let simple = Option.map (fun s -> { s with s_pred = sub_pred s.s_pred }) np.np_simple in
-        let access =
-          if Array.length params = 0 then np.np_access
-          else Access_path.subst_params params np.np_access
-        in
-        let h = hint ("n:" ^ name) 64 in
-        let ni = Cache.make_node ~size_hint:h ~schema:np.np_schema ~upd:np.np_upd name in
-        ( name,
-          { nr_def = nd; nr_simple = simple; nr_access = access; nr_ni = ni; nr_extent = None;
-            nr_temp = None;
-            nr_tid2pos = Intmap.create ~size:16; nr_mark = 0; nr_limit = 0 } ))
-      cp.cp_nodes
-  in
-  let rt name = List.assoc name nodes_rt in
-  (* generic probe paths re-bind edge predicates at run time, so they need
-     the substituted AST forms *)
-  let edge_defs =
-    List.map
-      (fun (ed : Co_schema.edge_def) ->
-        { ed with
-          Co_schema.ed_pred = sub_expr ed.Co_schema.ed_pred;
-          ed_attrs = List.map (fun (e, n) -> (sub_expr e, n)) ed.Co_schema.ed_attrs })
-      def.Co_schema.co_edges
-  in
-  (* connection production fuses into the reachability pass: under the
-     semi-naive fixpoint every live parent position is probed exactly once
-     per edge. The naive ablation re-probes every live parent each round,
-     so it clears the buffers per round and keeps only the last one, which
-     adds no tuple and therefore probes the full connection set. Matches
-     fill the cache's struct-of-arrays buffers directly — two int pushes
-     per match, attribute rows only on edges that declare them; the
-     readout adopts the buffers wholesale *)
-  let conn_bufs : (string * Cache.conns) list =
-    List.map
-      (fun (ed : Co_schema.edge_def) ->
-        ( ed.Co_schema.ed_name,
-          Cache.make_conns
-            ~size_hint:(hint ("e:" ^ ed.Co_schema.ed_name) 8)
-            ~attrs:(ed.Co_schema.ed_attrs <> []) () ))
-      def.Co_schema.co_edges
-  in
-  let buf_of name = List.assoc name conn_bufs in
-  (* 3–5 run under the "cache-fill" span: roots, reachability fixpoint,
-     connection extents *)
+  let nodes = node_rts cp params in
   let edges =
     Obs.Trace.with_span "cache-fill" @@ fun () ->
-  (* binding the parameter slots into the probers; batch-hash edges
-     (re)build or reuse their version-cached hash tables here, once per
-     fetch *)
-  let set_serving er s =
-    er.er_serving <- s;
-    let bp =
-      match s with
-      | S_indexed -> er.er_plan.ep_cands.ec_indexed
-      | S_hash -> er.er_plan.ep_cands.ec_hash
-      | S_generic -> None
-    in
-    er.er_bp <- bp;
-    match bp with
-    | Some bp ->
-      er.er_probe <- Some (bp.bp_fn params);
-      er.er_scan_base <- !(bp.bp_scanned)
-    | None -> er.er_probe <- None
+    let edges = Obs.Trace.with_span "edge-builds" (fun () -> edge_rts cp params nodes) in
+    let run = { ru_db = db; ru_cp = cp; ru_params = params; ru_nodes = nodes; ru_edges = edges } in
+    Obs.Trace.with_span "roots" (fun () -> roots run);
+    Obs.Trace.with_span "fixpoint" (fun () ->
+        Obs.Trace.add_meta "rounds" (string_of_int (fixpoint run mode)));
+    Obs.Trace.with_span "connections" (fun () -> connections run)
   in
-  let edge_rts =
-    Obs.Trace.with_span "edge-builds" @@ fun () ->
-    List.map
-      (fun (name, ep) ->
-        (* serving starts from the plan's latest recorded switch, so a
-           plan-cache hit keeps the strategy a previous execution learned *)
-        let serving =
-          match List.find_opt (fun sw -> sw.sw_edge = name) cp.cp_switches with
-          | Some sw -> sw.sw_to
-          | None -> ep.ep_chosen
-        in
-        let er =
-          { er_name = name; er_plan = ep; er_serving = serving; er_probe = None; er_bp = None;
-            er_scan_base = 0; er_probed = 0; er_conns = 0; er_switched = false;
-            er_probe_ns = 0. }
-        in
-        set_serving er serving;
-        (name, er))
-      cp.cp_edges
-  in
-  let rt_edge name = List.assoc name edge_rts in
-  (* 3. roots: set-oriented evaluation of the derivations *)
-  Obs.Trace.with_span "roots" (fun () ->
-      List.iter
-        (fun (nd : Co_schema.node_def) ->
-          Obs.Trace.with_span ("node:" ^ nd.Co_schema.nd_name) @@ fun () ->
-          let r = rt nd.Co_schema.nd_name in
-          note_query ();
-          (match r.nr_simple with
-          | Some s ->
-            Obs.Trace.add_meta "access" (Access_path.describe r.nr_access);
-            iter_simple s r.nr_access (fun rowid enc -> ignore (Cache.add_tuple r.nr_ni ~rowid enc))
-          | None ->
-            Obs.Trace.add_meta "access" "sql";
-            let x = ensure_extent db r in
-            Array.iteri
-              (fun tid row ->
-                let pos = Cache.add_tuple r.nr_ni ~rowid:x.x_rowids.(tid) row in
-                Intmap.set r.nr_tid2pos tid pos)
-              x.x_rows);
-          Obs.Trace.add_meta "rows" (string_of_int (Cache.live_count r.nr_ni)))
-        (Co_schema.roots def));
-  (* 4. reachability: semi-naive (or naive) fixpoint *)
-  (* prober hits deliver the child's encoded BASE row; project to the
-     node's output columns only when the tuple is first materialized. An
-     identity projection shares the build's row array with the cache
-     tuple — safe, because in-cache rows are never mutated in place
-     ([Udi] copies before writing, TAKE replaces the array). *)
-  let child_proj child_rt =
-    match child_rt.nr_simple with
-    | Some s ->
-      let n = Array.length s.s_proj in
-      let identity =
-        n = Schema.arity (Table.schema s.s_table)
-        &&
-        let rec all_id i = i >= n || (s.s_proj.(i) = i && all_id (i + 1)) in
-        all_id 0
-      in
-      if identity then fun (enc : Row.enc) -> enc else fun enc -> Row.project_enc enc s.s_proj
-    | None -> fun enc -> enc
-  in
-  let add_child child_rt proj rowid enc =
-    let pos = Cache.pos_of_rowid child_rt.nr_ni rowid in
-    if pos >= 0 then (pos, false)
-    else (Cache.add_tuple child_rt.nr_ni ~rowid (proj enc), true)
-  in
-  let changed = ref true in
-  (* ---- adaptive mid-fixpoint fallback ----
-
-     After each semi-naive round with more work pending, compare the
-     observed frontier / connection / candidate-scan counters per edge
-     against the plan's estimates. Beyond [adaptive_factor] divergence
-     (with at least [adaptive_min_rows] observed rows), re-pick through
-     the planner's own [Edge_cost.best] fed observed counts — live
-     cardinalities replace the evidently-unreliable snapshot extents, so
-     the runtime check and the compile-time pick cannot disagree on the
-     same numbers — and switch the edge's serving strategy for
-     subsequent rounds. The
-     switch is recorded on the plan (EXPLAIN ANALYZE, sys.plans) and
-     reused by plan-cache hits; at most one switch per edge per
-     execution, so estimates can never cause flapping. Only cost-picked,
-     unforced plans are eligible. *)
-  let live_card t =
-    match Catalog.table_opt catalog t with
-    | Some tbl -> float_of_int (Table.cardinality tbl)
-    | None -> infinity
-  in
-  let adaptive_check round =
-    List.iter
-      (fun (name, er) ->
-        match List.assoc_opt name cp.cp_ests with
-        | None -> ()
-        | Some ee ->
-          if not er.er_switched then begin
-            let fmin = float_of_int (adaptive_min_rows ()) in
-            let factor = adaptive_factor () in
-            let f = float_of_int er.er_probed in
-            let c = float_of_int er.er_conns in
-            let scan =
-              match er.er_bp with
-              | Some bp -> float_of_int (!(bp.bp_scanned) - er.er_scan_base)
-              | None -> 0.
-            in
-            let est_scan =
-              match er.er_serving with
-              | S_indexed -> f *. Float.max 1. ee.Edge_cost.ee_cand_fan
-              | S_hash -> f *. Float.max 1. ee.Edge_cost.ee_fanout
-              | S_generic -> 0.
-            in
-            let exceeds obs est = obs >= fmin && obs > factor *. Float.max 1. est in
-            if
-              exceeds f ee.Edge_cost.ee_frontier
-              || exceeds c ee.Edge_cost.ee_conns
-              || (er.er_serving <> S_generic && exceeds scan est_scan)
-            then begin
-              er.er_switched <- true;
-              let shape = List.find (fun s -> s.es_name = name) cp.cp_shapes in
-              let live_child =
-                match shape.es_child_table with None -> infinity | Some t -> live_card t
-              in
-              let live_build =
-                match shape.es_using with
-                | Some (l, _) -> live_child +. live_card l
-                | None -> live_child
-              in
-              (* an indexed edge's observed scan replaces the
-                 candidate-fanout estimate *)
-              let observed =
-                { ee with
-                  Edge_cost.ee_frontier = f; ee_conns = c; ee_child = live_child;
-                  ee_build = live_build;
-                  ee_cand_fan =
-                    (if er.er_serving = S_indexed then scan /. Float.max 1. f
-                     else ee.Edge_cost.ee_cand_fan) }
-              in
-              let target, _ =
-                Edge_cost.best observed ~candidates:(Edge_cost.candidates shape) ~frontier:f
-                  ~conns:c
-              in
-              if target <> er.er_serving then begin
-                let sw =
-                  { sw_edge = name; sw_from = er.er_serving; sw_to = target; sw_round = round }
-                in
-                cp.cp_switches <-
-                  sw :: List.filter (fun s -> s.sw_edge <> name) cp.cp_switches;
-                Obs.Metrics.incr m_strategy_switches;
-                set_serving er target
-              end
-            end
-          end)
-      edge_rts
-  in
-  let round = ref 0 in
-  let run_fixpoint () =
-  while !changed do
-    changed := false;
-    incr round;
-    Obs.Metrics.incr m_rounds;
-    (* snapshot this round's slice per node; tuples created during the
-       round land beyond [nr_limit] and become the next round's slice *)
-    List.iter
-      (fun (_, r) ->
-        r.nr_mark <- r.nr_limit;
-        r.nr_limit <- Vec.length r.nr_ni.Cache.ni_tuples)
-      nodes_rt;
-    if fixpoint = Naive then List.iter (fun (_, cs) -> cs.Cache.cs_len <- 0) conn_bufs;
-    List.iter
-      (fun (ed : Co_schema.edge_def) ->
-        let parent_rt = rt ed.Co_schema.ed_parent and child_rt = rt ed.Co_schema.ed_child in
-        (* naive ablation: re-probe every live parent each round *)
-        let naive_set =
-          match fixpoint with
-          | Semi_naive -> []
-          | Naive ->
-            List.filter_map
-              (fun t -> if t.Cache.t_live then Some t.Cache.t_pos else None)
-              (List.of_seq (Vec.to_seq parent_rt.nr_ni.Cache.ni_tuples))
-        in
-        let n_probes =
-          match fixpoint with
-          | Semi_naive -> parent_rt.nr_limit - parent_rt.nr_mark
-          | Naive -> List.length naive_set
-        in
-        if n_probes > 0 then begin
-          Obs.Metrics.incr ~by:n_probes m_tuples_probed;
-          let er = rt_edge ed.Co_schema.ed_name in
-          er.er_probed <- er.er_probed + n_probes;
-          let iter_probe_set f =
-            match fixpoint with
-            | Semi_naive ->
-              for pos = parent_rt.nr_mark to parent_rt.nr_limit - 1 do
-                f pos
-              done
-            | Naive -> List.iter f naive_set
-          in
-          let probe_batch probe =
-            note_query ();
-            let buf = buf_of ed.Co_schema.ed_name in
-            let proj = child_proj child_rt in
-            (* one emit closure per batch (not per frontier row): the
-               current parent position threads through a mutable cell *)
-            let cur = ref 0 in
-            let on_hit rowid enc attrs =
-              let cpos, is_new = add_child child_rt proj rowid enc in
-              ignore (Cache.push_conn buf ~parent:!cur ~child:cpos ~attrs);
-              er.er_conns <- er.er_conns + 1;
-              if is_new then changed := true
-            in
-            iter_probe_set (fun pos ->
-                cur := pos;
-                probe (Cache.tuple parent_rt.nr_ni pos).Cache.t_row on_hit)
-          in
-          (* rounds interleave the edges, so each edge's probe time is
-             accumulated here and reported on its connections span *)
-          let t0 = Obs.Metrics.now_ns () in
-          (match er.er_probe with
-          | Some probe ->
-            if er.er_serving = S_hash then Obs.Metrics.incr m_hash_probes;
-            probe_batch probe
-          | None ->
-            let child_temp = ensure_temp db child_rt in
-            let probe_rows =
-              let acc = ref [] in
-              iter_probe_set (fun pos ->
-                  acc := (pos, (Cache.tuple parent_rt.nr_ni pos).Cache.t_row) :: !acc);
-              List.rev !acc
-            in
-            let parent_temp = make_temp parent_rt.nr_ni.Cache.ni_schema (List.to_seq probe_rows) in
-            let x () = Option.get child_rt.nr_extent in
-            (* child position for an extent tid, creating the tuple on
-               first reach; dedupes by rowid too, in case another
-               (indexed/hash) edge already delivered this base row *)
-            let pos_of_tid tid =
-              let known = Intmap.get child_rt.nr_tid2pos tid in
-              if known >= 0 then known
-              else begin
-                let x = x () in
-                let rid = x.x_rowids.(tid) in
-                let by_rowid = if rid >= 0 then Cache.pos_of_rowid child_rt.nr_ni rid else -1 in
-                let pos =
-                  if by_rowid >= 0 then by_rowid
-                  else begin
-                    let pos = Cache.add_tuple child_rt.nr_ni ~rowid:rid x.x_rows.(tid) in
-                    changed := true;
-                    pos
-                  end
-                in
-                Intmap.set child_rt.nr_tid2pos tid pos;
-                pos
-              end
-            in
-            let buf = buf_of ed.Co_schema.ed_name in
-            List.iter
-              (fun (ppos, tid, attrs) ->
-                ignore
-                  (Cache.push_conn buf ~parent:ppos ~child:(pos_of_tid tid)
-                     ~attrs:(Row.encode attrs));
-                er.er_conns <- er.er_conns + 1)
-              (probe_edge_generic_fused db ed ~parent_temp ~child_temp));
-          er.er_probe_ns <- er.er_probe_ns +. (Obs.Metrics.now_ns () -. t0)
-        end)
-      edge_defs;
-    if fixpoint = Semi_naive && !changed && adaptive_enabled () && cp.cp_force = None
-       && cp.cp_ests <> []
-    then adaptive_check !round
-  done
-  in
-  Obs.Trace.with_span "fixpoint" (fun () ->
-      run_fixpoint ();
-      Obs.Trace.add_meta "rounds" (string_of_int !round));
-  (* 5. connection extents over the reached instance: the matches were
-     already produced during reachability — this is a readout of the
-     per-edge buffers, no further query runs *)
-  let edges =
-    Obs.Trace.with_span "connections" @@ fun () ->
-    List.map
-      (fun (ed : Co_schema.edge_def) ->
-        Obs.Trace.with_span ("edge:" ^ ed.Co_schema.ed_name) @@ fun () ->
-        let parent_rt = rt ed.Co_schema.ed_parent and child_rt = rt ed.Co_schema.ed_child in
-        let er = rt_edge ed.Co_schema.ed_name in
-        let attr_schema =
-          match er.er_bp with
-          | Some bp -> bp.bp_schema
-          | None -> er.er_plan.ep_cands.ec_generic_schema
-        in
-        (* adopt the buffer wholesale as the edge's connection store —
-           zero-copy, filled in delivery order *)
-        let cs = buf_of ed.Co_schema.ed_name in
-        Obs.Trace.add_meta "conns" (string_of_int cs.Cache.cs_len);
-        Obs.Trace.add_meta "probe_ms" (Printf.sprintf "%.3f" (er.er_probe_ns /. 1e6));
-        ( ed.Co_schema.ed_name,
-          { Cache.ei_name = ed.Co_schema.ed_name; ei_parent = ed.Co_schema.ed_parent;
-            ei_child = ed.Co_schema.ed_child; ei_parent_node = parent_rt.nr_ni;
-            ei_child_node = child_rt.nr_ni; ei_attr_schema = attr_schema; ei_conns = cs;
-            ei_adj = None; ei_upd = Semantic.Upd_readonly "pending analysis" } ))
-      edge_defs
-  in
-  edges
-  in
-  (* 6. staleness bookkeeping (table set precomputed at compile time) *)
-  let base_tables = cp.cp_base_tables in
+  let catalog = Db.catalog db in
   let cache =
-    { Cache.c_def = def; c_nodes = List.map (fun (n, r) -> (n, r.nr_ni)) nodes_rt; c_edges = edges;
+    { Cache.c_def = cp.cp_def; c_nodes = List.map (fun (n, r) -> (n, r.nr_ni)) nodes; c_edges = edges;
       c_base_versions =
         List.filter_map
           (fun t -> Option.map (fun tbl -> (t, Table.version tbl)) (Catalog.table_opt catalog t))
-          base_tables;
+          cp.cp_base_tables;
       c_unsaved = false }
   in
-  (* 7. path-based restrictions over the instance, then reachability *)
   (* record observed cardinalities for the next warm execution's presizing *)
   cp.cp_hints <-
-    List.map (fun (n, r) -> ("n:" ^ n, Vec.length r.nr_ni.Cache.ni_tuples)) nodes_rt
+    List.map (fun (n, r) -> ("n:" ^ n, Vec.length r.nr_ni.Cache.ni_tuples)) nodes
     @ List.map (fun (e, ei) -> ("e:" ^ e, ei.Cache.ei_conns.Cache.cs_len)) edges;
-  if path_restrs <> [] then Obs.Trace.with_span "restrictions" (fun () ->
-    List.iter
-      (fun r ->
-        match r with
-        | R_node { rn_node; rn_var; rn_pred } ->
-          let ni = Cache.node cache rn_node in
-          let keep = Path.eval_node_restriction cache ~node:rn_node ~var:rn_var rn_pred in
-          let keep_set = Hashtbl.create 64 in
-          List.iter (fun p -> Hashtbl.replace keep_set p ()) keep;
-          Vec.iter
-            (fun t ->
-              if t.Cache.t_live && not (Hashtbl.mem keep_set t.Cache.t_pos) then
-                t.Cache.t_live <- false)
-            ni.Cache.ni_tuples
-        | R_edge { re_edge; re_parent_var; re_child_var; re_pred } ->
-          let ei = Cache.edge cache re_edge in
-          let pvar = String.lowercase_ascii re_parent_var
-          and cvar = String.lowercase_ascii re_child_var in
-          for i = 0 to Cache.conn_count ei - 1 do
-            if Cache.conn_live_at ei i then begin
-              let env =
-                [ (pvar, { Path.b_node = ei.Cache.ei_parent; b_pos = Cache.conn_parent_at ei i });
-                  (cvar, { Path.b_node = ei.Cache.ei_child; b_pos = Cache.conn_child_at ei i }) ]
-              in
-              if not (Value.is_true (Path.eval_pred cache env re_pred)) then
-                Cache.set_conn_live ei i false
-            end
-          done)
-      path_restrs;
-    Cache.recompute_reachability cache);
+  let path_restrs = subst_restrictions params path_restrs in
+  if path_restrs <> [] then
+    Obs.Trace.with_span "restrictions" (fun () -> restrictions cache path_restrs);
   cache
 
 (* column projection, then relationship-updatability and locked-column

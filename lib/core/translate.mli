@@ -6,13 +6,14 @@
     - root extents are evaluated set-orientedly from their derivations;
     - reachability runs as a semi-naive delta fixpoint over the schema
       graph (DAGs converge in one topological sweep, recursive schemas
-      iterate); the naive re-probing variant is selectable for the E6
-      ablation;
+      iterate); the naive variant, selectable for the E6 ablation,
+      re-probes every parent each round;
     - each relationship's predicate is analyzed once into its join key
       (FK pairs or USING link bindings, plus residual conjuncts), and each
       probe is access-path selected from it: FK-equality and indexed USING
       patterns run as index-nested-loop probes, other keyed edges over a
-      simple child as batch hash probes against version-cached builds,
+      simple child as batch hash probes against version-cached builds —
+      one prober, a key chain over either candidate source — and
       everything else as generic QGM plans through the relational engine
       (rewrite and plan optimization included);
     - non-root extents are lazy: only reached tuples materialize;
@@ -58,8 +59,6 @@ val strategy_name : strategy -> string
     switch per edge per execution. Process-global, like the optimizer
     toggles. *)
 
-val set_adaptive : bool -> unit
-val adaptive_enabled : unit -> bool
 val set_adaptive_factor : float -> unit
 val adaptive_factor : unit -> float
 val set_adaptive_min_rows : int -> unit

@@ -53,4 +53,5 @@ let () =
       ("wal-file", Test_wal_file.suite qcheck_seed);
       ("recovery", Test_recovery.suite);
       ("cost-pick", Test_cost_pick.suite);
-      ("access-path", Test_access_path.suite) ]
+      ("access-path", Test_access_path.suite);
+      ("prober-params", Test_prober_params.suite) ]
