@@ -564,22 +564,28 @@ let e7 () =
   header "E7" "query rewrite on XNF-generated queries"
     "\"processing of XNF does not require any change to query rewrite\"; merging \
      of views and predicate pushdown apply to CO queries unchanged (4.3)";
-  (* no FK indexes: the translator's probes run as generic plans through
-     the engine, where the rewrite decides between cross nested loops and
-     hash joins *)
+  (* the §4 rewrite of the CO: [Baseline.Sql_route] runs every
+     relationship as a relational join through the engine, where the
+     rewrite decides between cross nested loops and hash joins. (The
+     production fetch probes relationships itself and never reaches the
+     rewrite.) *)
   let mk () =
     let db = Db.create () in
     Workload.Chain.populate ~indexes:false db ~seed:4 ~depth:2 ~n_roots:15 ~fanout:8;
-    (db, Xnf.Api.create db)
+    let api = Xnf.Api.create db in
+    let def, _, _ =
+      Xnf.View_registry.compose (Xnf.Api.registry api)
+        (Xnf.Xnf_parser.parse_query (Workload.Chain.co_query ~depth:2))
+    in
+    (db, def)
   in
-  let q = Xnf.Xnf_parser.parse_query (Workload.Chain.co_query ~depth:2) in
-  let db_on, api_on = mk () in
+  let db_on, def_on = mk () in
   Db.set_rewrite db_on true;
-  ignore (Xnf.Api.fetch api_on q);
-  let on_ms = time_avg_ms ~reps:3 (fun () -> Xnf.Api.fetch api_on q) in
-  let db_off, api_off = mk () in
+  ignore (Baseline.Sql_route.fetch db_on def_on);
+  let on_ms = time_avg_ms ~reps:3 (fun () -> Baseline.Sql_route.fetch db_on def_on) in
+  let db_off, def_off = mk () in
   Db.set_rewrite db_off false;
-  let off_ms = time_avg_ms ~reps:3 (fun () -> Xnf.Api.fetch api_off q) in
+  let off_ms = time_avg_ms ~reps:3 (fun () -> Baseline.Sql_route.fetch db_off def_off) in
   (* the same effect on a plain SQL join, for reference *)
   let sql = "SELECT * FROM t1 a, t2 b WHERE a.k1 = b.parent2 AND a.parent1 < 10" in
   Db.set_rewrite db_on true;
@@ -588,9 +594,9 @@ let e7 () =
   let sql_off = time_avg_ms ~reps:3 (fun () -> Db.rows_of db_on sql) in
   table
     ~cols:[ "workload"; "rewrite on ms"; "rewrite off ms"; "speedup" ]
-    [ [ "XNF fetch (chain CO, depth 2)"; f1 on_ms; f1 off_ms; fx (off_ms /. on_ms) ];
+    [ [ "SQL route (chain CO, depth 2)"; f1 on_ms; f1 off_ms; fx (off_ms /. on_ms) ];
       [ "plain SQL join (reference)"; f2 sql_on; f2 sql_off; fx (sql_off /. sql_on) ] ];
-  pr "   (without rewrite the translator's cross joins stay nested loops;@.";
+  pr "   (without rewrite the SQL route's cross joins stay nested loops;@.";
   pr "    with rewrite the same QGM becomes hash/index joins — shared machinery)@."
 
 (* =====================================================================
@@ -791,11 +797,12 @@ let e11 () =
    ===================================================================== *)
 
 (* Forced-strategy fetches over the deep unindexed chain and the
-   recursive management tree. The bench.e12.* metrics feed the CI gate:
-   batch hash probing must beat the engine-planned generic path by a
-   --min floor on the large deep schema, and the warm loop must reuse
-   every hash build (exact counters). E12_SCALE multiplies the row
-   counts; the nightly target runs at 10x. *)
+   recursive management tree, against the paper's §4 rewrite
+   ([Baseline.Sql_route]: every relationship an engine-planned join per
+   round). The bench.e12.* metrics feed the CI gate: batch hash probing
+   must beat the SQL route by a --min floor on the large deep schema, and
+   the warm loop must reuse every hash build (exact counters). E12_SCALE
+   multiplies the row counts; the nightly target runs at 10x. *)
 let e12 () =
   header "E12" "set-oriented batch edge execution"
     "\"set-oriented processing whenever possible\" (4.1): per-round batch hash \
@@ -824,12 +831,26 @@ let e12 () =
     done;
     (Xnf.Cache.total_tuples !cache, !best, !cp, db, restrs)
   in
+  (* the same CO through the SQL route, best of [cold_reps] *)
+  let sql_route_run api q =
+    let def, _, _ =
+      Xnf.View_registry.compose (Xnf.Api.registry api) (Xnf.Xnf_parser.parse_query q)
+    in
+    let db = Xnf.Api.db api in
+    let tuples = ref 0 and best = ref infinity in
+    for _ = 1 to cold_reps do
+      let c, ms = time_ms (fun () -> Baseline.Sql_route.fetch db def) in
+      tuples := Xnf.Cache.total_tuples c;
+      if ms < !best then best := ms
+    done;
+    (!tuples, !best)
+  in
   Obs.Trace.set_enabled false;
   (* --- deep chain (depth 3, no FK indexes), ~10k and ~100k rows ---
      the extracted working set is pinned to 64 roots (5440 CO tuples)
-     while the database scales, the paper's extraction scenario: the
-     generic path re-copies and re-joins whole child extents through the
-     engine, batch hash pays one cheap build per extent *)
+     while the database scales, the paper's extraction scenario: the SQL
+     route re-copies and re-joins whole child extents through the engine,
+     batch hash pays one cheap build per extent *)
   let deep n_roots =
     let db = Db.create () in
     Workload.Chain.populate ~indexes:false db ~seed:12 ~depth:3 ~n_roots ~fanout:4;
@@ -837,22 +858,22 @@ let e12 () =
     (170 * n_roots, Xnf.Api.create db, Workload.Chain.co_query_sel ~max_root:64 ~depth:3)
   in
   let deep_rows = ref [] in
-  let deep_speedup = ref 0. and deep_generic_ms = ref 0. and deep_hash_ms = ref 0. in
+  let deep_speedup = ref 0. and deep_sqlroute_ms = ref 0. and deep_hash_ms = ref 0. in
   List.iter
     (fun n_roots ->
       let total, api, q = deep (n_roots * scale) in
-      let co, generic_ms, _, _, _ = forced_run api q Xnf.Translate.S_generic in
+      let co, sqlroute_ms = sql_route_run api q in
       let co', hash_ms, _, _, _ = forced_run api q Xnf.Translate.S_hash in
       assert (co = co');
-      deep_speedup := generic_ms /. hash_ms;
-      deep_generic_ms := generic_ms;
+      deep_speedup := sqlroute_ms /. hash_ms;
+      deep_sqlroute_ms := sqlroute_ms;
       deep_hash_ms := hash_ms;
       deep_rows :=
-        [ string_of_int total; string_of_int co; f2 generic_ms; f2 hash_ms; fx !deep_speedup ]
+        [ string_of_int total; string_of_int co; f2 sqlroute_ms; f2 hash_ms; fx !deep_speedup ]
         :: !deep_rows)
     [ 60; 600 ];
   table
-    ~cols:[ "base rows"; "CO tuples"; "generic ms"; "hash ms"; "speedup" ]
+    ~cols:[ "base rows"; "CO tuples"; "SQL route ms"; "hash ms"; "speedup" ]
     (List.rev !deep_rows);
   (* --- warm executions of the large deep plan: builds reused --- *)
   let _, api, q = deep (600 * scale) in
@@ -895,24 +916,24 @@ let e12 () =
   in
   let n, api_noidx = rec_db false in
   let _, api_idx = rec_db true in
-  let co, rec_generic_ms, _, _, _ = forced_run api_noidx Workload.Chain.mgmt_query Xnf.Translate.S_generic in
+  let co, rec_sqlroute_ms = sql_route_run api_noidx Workload.Chain.mgmt_query in
   let co', rec_hash_ms, _, _, _ = forced_run api_noidx Workload.Chain.mgmt_query Xnf.Translate.S_hash in
   let co'', rec_indexed_ms, _, _, _ = forced_run api_idx Workload.Chain.mgmt_query Xnf.Translate.S_indexed in
   assert (co = co' && co = co'');
-  let rec_speedup = rec_generic_ms /. rec_hash_ms in
+  let rec_speedup = rec_sqlroute_ms /. rec_hash_ms in
   Obs.Trace.set_enabled true;
   table
     ~cols:[ "recursive CO"; "employees"; "ms/fetch"; "speedup" ]
-    [ [ "generic (engine-planned)"; string_of_int n; f2 rec_generic_ms; "1x" ];
+    [ [ "SQL route (engine-planned)"; string_of_int n; f2 rec_sqlroute_ms; "1x" ];
       [ "batch hash"; string_of_int n; f2 rec_hash_ms; fx rec_speedup ];
-      [ "indexed (FK index)"; string_of_int n; f2 rec_indexed_ms; fx (rec_generic_ms /. rec_indexed_ms) ] ];
-  Obs.Metrics.set (Obs.Metrics.gauge "bench.e12.deep_generic_ms") !deep_generic_ms;
+      [ "indexed (FK index)"; string_of_int n; f2 rec_indexed_ms; fx (rec_sqlroute_ms /. rec_indexed_ms) ] ];
+  Obs.Metrics.set (Obs.Metrics.gauge "bench.e12.deep_sqlroute_ms") !deep_sqlroute_ms;
   Obs.Metrics.set (Obs.Metrics.gauge "bench.e12.deep_hash_ms") !deep_hash_ms;
   Obs.Metrics.set (Obs.Metrics.gauge "bench.e12.deep_speedup") !deep_speedup;
   Obs.Metrics.set (Obs.Metrics.gauge "bench.e12.warm_ms") warm_ms;
   Obs.Metrics.set (Obs.Metrics.gauge "bench.e12.warm_speedup") warm_speedup;
   Obs.Metrics.set (Obs.Metrics.gauge "bench.e12.alloc_bytes_per_probe") alloc_per_probe;
-  Obs.Metrics.set (Obs.Metrics.gauge "bench.e12.rec_generic_ms") rec_generic_ms;
+  Obs.Metrics.set (Obs.Metrics.gauge "bench.e12.rec_sqlroute_ms") rec_sqlroute_ms;
   Obs.Metrics.set (Obs.Metrics.gauge "bench.e12.rec_hash_ms") rec_hash_ms;
   Obs.Metrics.set (Obs.Metrics.gauge "bench.e12.rec_indexed_ms") rec_indexed_ms;
   Obs.Metrics.set (Obs.Metrics.gauge "bench.e12.rec_speedup") rec_speedup;
@@ -1034,204 +1055,6 @@ let e13 () =
   Obs.Metrics.set (Obs.Metrics.gauge "bench.e13.build_speedup") speedup_b;
   Obs.Metrics.set (Obs.Metrics.gauge "bench.e13.cost_pick_speedup") speedup
 
-(* =====================================================================
-   E14 — dictionary-encoded navigation vs the pre-dictionary boxed path
-   ===================================================================== *)
-
-(* OO1-style closure traversal over parts/connections: from a set of seed
-   parts, repeatedly expand the frontier through an outgoing-connection
-   hash build until the reachable part set is closed — the navigation
-   pattern of the paper's engineering-database scenario (Cattell's OO1),
-   run to fixpoint instead of a bounded depth.
-
-   Both kernels execute the identical probe loop over the identical OO1
-   database loaded through the (encoded) engine; they differ only in the
-   row representation the old and the current execution core used:
-
-     - boxed   — [Value.t array] rows, each probe extracts its key into a
-                 fresh [Value.t array] and hashes through [Row_key_boxed]
-                 ([Value.hash]/[Value.equal] with constructor dispatch):
-                 the pre-dictionary hot path;
-     - encoded — [Dict] id rows, one scratch [int array] mutated per
-                 probe, [Row_key] hashing over raw ints: the current hot
-                 path.
-
-   bench.e14.nav_speedup (warm boxed ms / warm encoded ms) feeds the CI
-   gate (--min 2); bench.e14.alloc_bytes_per_probe tracks probe-side
-   allocation of the encoded kernel. E14_SCALE multiplies the part
-   count; the nightly target runs at 10x. *)
-let e14 () =
-  header "E14" "dictionary-encoded navigation closure (OO1 parts/connections)"
-    "the execution core navigates composite objects on raw dictionary ids; \
-     values are decoded only at delivery (4.1/4.2)";
-  let scale = match Sys.getenv_opt "E14_SCALE" with Some s -> max 1 (int_of_string s) | None -> 1 in
-  let n_parts = 20_000 * scale in
-  let db = Db.create () in
-  Workload.Oo1.populate db ~seed:14 ~n_parts;
-  let api = Xnf.Api.create db in
-  let cache, load_ms =
-    time_ms (fun () -> Xnf.Api.fetch_string api Workload.Oo1.parts_co_query)
-  in
-  let conns = Xnf.Cache.live_tuples (Xnf.Cache.node cache "xconn") in
-  pr "   database: %d parts, %d connections; encoded cache load %.1f ms@." n_parts (3 * n_parts)
-    load_ms;
-  let roots = [ 0; n_parts / 4; n_parts / 2; 3 * n_parts / 4 ] in
-
-  (* --- encoded kernel: Dict ids end to end ---
-     dense int ids admit int-native structures the boxed representation
-     cannot use: the build is an {!Intmap} (open addressing, allocation-
-     free get) from the key id to the head of a bucket chain threaded
-     through two flat int arrays. Key ids of non-negative Int columns are
-     non-negative (inline tag 00), which Intmap requires. *)
-  let n_conns = List.length conns in
-  let enc_tgt = Array.make (max 1 n_conns) 0 in
-  let enc_next = Array.make (max 1 n_conns) Intmap.absent in
-  let build_encoded () =
-    let heads = Intmap.create ~size:(2 * n_parts) in
-    List.iteri
-      (fun j t ->
-        let row = t.Xnf.Cache.t_row in
-        let k = Dict.key_cell row.(0) in
-        enc_tgt.(j) <- Dict.key_cell row.(1);
-        enc_next.(j) <- Intmap.get heads k;
-        Intmap.set heads k j)
-      conns;
-    heads
-  in
-  let enc_roots = List.map (fun id -> Dict.key_cell (Dict.encode (Value.Int id))) roots in
-  (* worklist as a preallocated int stack: every connection is pushed at
-     most once (its source is visited exactly once), so total pushes are
-     bounded by roots + connections *)
-  let enc_stack = Array.make ((3 * n_parts) + 8) 0 in
-  let enc_probes = ref 0 in
-  let enc_traverse heads =
-    let visited = Intmap.create ~size:(2 * n_parts) in
-    let top = ref 0 in
-    List.iter
-      (fun r ->
-        enc_stack.(!top) <- r;
-        incr top)
-      enc_roots;
-    let reached = ref 0 in
-    let np = ref 0 in
-    while !top > 0 do
-      decr top;
-      let id = enc_stack.(!top) in
-      incr np;
-      if Intmap.get visited id = Intmap.absent then begin
-        Intmap.set visited id 1;
-        incr reached;
-        incr np;
-        let j = ref (Intmap.get heads id) in
-        while !j <> Intmap.absent do
-          enc_stack.(!top) <- enc_tgt.(!j);
-          incr top;
-          j := enc_next.(!j)
-        done
-      end
-    done;
-    enc_probes := !np;
-    !reached
-  in
-
-  (* --- boxed kernel: the pre-dictionary representation --- *)
-  let boxed_rows = List.map Xnf.Cache.row conns in
-  let boxed_build : Value.t list Expr.Row_key_boxed_tbl.t =
-    Expr.Row_key_boxed_tbl.create (2 * n_parts)
-  in
-  let build_boxed () =
-    Expr.Row_key_boxed_tbl.reset boxed_build;
-    List.iter
-      (fun (row : Row.t) ->
-        let key = [| row.(0) |] in
-        match Expr.Row_key_boxed_tbl.find_opt boxed_build key with
-        | Some l -> Expr.Row_key_boxed_tbl.replace boxed_build key (row.(1) :: l)
-        | None -> Expr.Row_key_boxed_tbl.add boxed_build key [ row.(1) ])
-      boxed_rows
-  in
-  let boxed_roots = List.map (fun id -> Value.Int id) roots in
-  let boxed_stack = Array.make ((3 * n_parts) + 8) Value.Null in
-  let boxed_traverse () =
-    let visited : unit Expr.Row_key_boxed_tbl.t =
-      Expr.Row_key_boxed_tbl.create (2 * n_parts)
-    in
-    let top = ref 0 in
-    List.iter
-      (fun r ->
-        boxed_stack.(!top) <- r;
-        incr top)
-      boxed_roots;
-    let reached = ref 0 in
-    while !top > 0 do
-      decr top;
-      let v = boxed_stack.(!top) in
-      (* per-probe key extraction into a fresh array, exactly what the
-         boxed hot path did for every frontier tuple *)
-      let key = [| v |] in
-      if not (Expr.Row_key_boxed_tbl.mem visited key) then begin
-        Expr.Row_key_boxed_tbl.add visited key ();
-        incr reached;
-        match Expr.Row_key_boxed_tbl.find_opt boxed_build [| v |] with
-        | Some tgts ->
-          List.iter
-            (fun t ->
-              boxed_stack.(!top) <- t;
-              incr top)
-            tgts
-        | None -> ()
-      end
-    done;
-    !reached
-  in
-
-  (* cold: build + closure, best-of-N with the build redone every rep;
-     warm: closure only, the build reused across fetches *)
-  let best_of n f =
-    let best = ref infinity in
-    for _ = 1 to n do
-      let _, ms = time_ms f in
-      if ms < !best then best := ms
-    done;
-    !best
-  in
-  let enc_cold_ms = best_of 3 (fun () -> ignore (enc_traverse (build_encoded ()))) in
-  let boxed_cold_ms = best_of 3 (fun () -> build_boxed (); ignore (boxed_traverse ())) in
-  let enc_heads = build_encoded () in
-  let enc_reached = enc_traverse enc_heads in
-  let boxed_reached = boxed_traverse () in
-  assert (enc_reached = boxed_reached);
-  let reps = 10 in
-  let enc_warm_ms = time_avg_ms ~reps (fun () -> enc_traverse enc_heads) in
-  let boxed_warm_ms = time_avg_ms ~reps (fun () -> boxed_traverse ()) in
-  let nav_speedup = boxed_warm_ms /. enc_warm_ms in
-  let cold_speedup = boxed_cold_ms /. enc_cold_ms in
-  (* probe-side allocation of the encoded closure (Gc.allocated_bytes
-     only advances at minor collections — drain both sides) *)
-  let alloc_per_probe =
-    Gc.minor ();
-    let a0 = Gc.allocated_bytes () in
-    ignore (enc_traverse enc_heads);
-    Gc.minor ();
-    (Gc.allocated_bytes () -. a0) /. float_of_int (max 1 !enc_probes)
-  in
-  table
-    ~cols:[ "navigation closure"; "cold ms"; "warm ms"; "warm speedup" ]
-    [ [ "boxed rows (pre-dictionary hot path)"; f2 boxed_cold_ms; f2 boxed_warm_ms; "1x" ];
-      [ "encoded rows (dictionary ids)"; f2 enc_cold_ms; f2 enc_warm_ms; fx nav_speedup ] ];
-  pr "   closure: %d of %d parts reached from %d roots; %d key probes per pass@." enc_reached
-    n_parts (List.length roots) !enc_probes;
-  pr "   allocation: %.0f bytes per probe (encoded); cold speedup %s@." alloc_per_probe
-    (fx cold_speedup);
-  Obs.Metrics.set (Obs.Metrics.gauge "bench.e14.load_ms") load_ms;
-  Obs.Metrics.set (Obs.Metrics.gauge "bench.e14.boxed_cold_ms") boxed_cold_ms;
-  Obs.Metrics.set (Obs.Metrics.gauge "bench.e14.boxed_warm_ms") boxed_warm_ms;
-  Obs.Metrics.set (Obs.Metrics.gauge "bench.e14.enc_cold_ms") enc_cold_ms;
-  Obs.Metrics.set (Obs.Metrics.gauge "bench.e14.enc_warm_ms") enc_warm_ms;
-  Obs.Metrics.set (Obs.Metrics.gauge "bench.e14.cold_speedup") cold_speedup;
-  Obs.Metrics.set (Obs.Metrics.gauge "bench.e14.nav_speedup") nav_speedup;
-  Obs.Metrics.set (Obs.Metrics.gauge "bench.e14.alloc_bytes_per_probe") alloc_per_probe;
-  Obs.Metrics.incr ~by:enc_reached (Obs.Metrics.counter "bench.e14.reached_parts")
-
 (* per-experiment observability line: per-stage pipeline time from the
    span.* histograms and the cache hit rate from the counters, both
    sourced from lib/obs *)
@@ -1264,8 +1087,7 @@ let experiments =
     ("E10", "extraction scaling with database size", e10);
     ("E11", "repeated fetches through the plan cache", e11);
     ("E12", "set-oriented batch edge execution", e12);
-    ("E13", "cost-based access-path selection", e13);
-    ("E14", "dictionary-encoded navigation closure", e14) ]
+    ("E13", "cost-based access-path selection", e13) ]
 
 let () =
   ignore (Check.Pipeline.install_from_env ());

@@ -17,18 +17,18 @@
        optimizer does for parent/child joins ("in the plan optimizer
        handling of joins is heavily used since parent child relationships
        are computed by joins");
-     - the indexed and batch-hash access paths are ONE prober: a key
-       chain (an FK edge is one lookup keyed by parent columns, a USING
-       edge two chained lookups parent -> link rows -> child rows) over a
-       candidate source (a stored base-table index, or a version-cached
-       hash build over the child), with one delivery routine (child
-       predicate -> concat -> residual -> attributes, skipped entirely on
-       the allocation-free fast path). Indexed keys an FK edge by one
-       indexed pair and leaves the others to the residual; hash keys it by
-       all pairs. Everything else falls back to a generic plan — the
-       parent frontier and the child's materialized extent joined through
-       the relational engine (shared-temporary common subexpressions,
-       query rewrite and join-method selection included);
+     - every access path is ONE prober: a key chain (an FK edge is one
+       lookup keyed by parent columns, a USING edge two chained lookups
+       parent -> link rows -> child rows) over a candidate source (a
+       stored base-table index, a version-cached hash build over a base
+       table, or a per-fetch build over a derived child's materialized
+       extent), with one delivery routine (child predicate -> concat ->
+       residual -> attributes, skipped entirely on the allocation-free
+       fast path). Indexed keys an FK edge by one indexed pair and leaves
+       the others to the residual; hash keys it by all pairs; generic
+       keys it by nothing — its empty key puts every candidate in one
+       bucket, so each probe scans the child's rows and every conjunct is
+       residual;
      - non-root extents are therefore *lazy*: only reached tuples are ever
        materialized, which is what makes working-set extraction at 10^-4
        selectivity set-oriented AND cheap (E3);
@@ -37,10 +37,10 @@
 
    [execute_def] is a short driver over [roots], [fixpoint] (with the
    adaptive mid-fixpoint check), [connections] and [restrictions], which
-   share one per-fetch runtime record. All generic queries are QGM trees
-   executed through the relational engine, so query rewrite (predicate
-   pushdown -> hash joins) and plan optimization apply to them exactly as
-   to user SQL — toggled per session for the E7 ablation. *)
+   share one per-fetch runtime record. Only a derived (non-simple) node's
+   derivation runs through the relational engine, once per fetch; the
+   paper's rewrite of each relationship into a relational join survives
+   as the [Baseline.Sql_route] reference. *)
 
 open Relational
 open Xnf_ast
@@ -90,10 +90,6 @@ let set_adaptive_min_rows n = adaptive_min_rows_v := max 0 n
 let adaptive_min_rows () = !adaptive_min_rows_v
 
 let note_query () = Obs.Metrics.incr m_queries
-
-let run_query db qgm =
-  note_query ();
-  Db.run_qgm db qgm
 
 let clear_quals schema =
   Schema.make (List.map (fun c -> { c with Schema.col_qualifier = "" }) (Schema.columns schema))
@@ -187,20 +183,14 @@ let analyze_simple db q = try analyze_simple db q with Exit -> None
 
 (* ---- per-node runtime state ---- *)
 
-type extent = {
-  x_schema : Schema.t;
-  x_rows : Row.enc array;  (** node-output rows, dictionary-encoded *)
-  x_rowids : int array;  (** base rowids; [-1] = no provenance *)
-}
-
 type node_rt = {
   nr_def : Co_schema.node_def;
   nr_simple : simple option;
   nr_access : Access_path.t;  (** the simple node's base-table path, key bound *)
   nr_ni : Cache.node_inst;
-  mutable nr_extent : extent option;  (** full base extent (generic path only) *)
-  mutable nr_temp : Table.t option;  (** shared temp of [nr_extent] *)
-  nr_tid2pos : Intmap.t;  (** extent index -> cache position *)
+  mutable nr_extent : Row.enc array option;
+      (** a derived node's materialized derivation, node-output rows encoded *)
+  nr_tid2pos : Intmap.t;  (** derived node: extent index -> cache position *)
   (* semi-naive frontier: every tuple is created exactly once and must be
      probed exactly once, so creation order IS the queue — a round probes
      the position slice [nr_mark, nr_limit) snapshotted at round start *)
@@ -221,73 +211,32 @@ let iter_simple (s : simple) access f =
   Access_path.iter s.s_table access s.s_pred (fun rowid row ->
       f rowid (Row.encode (Row.project row s.s_proj)))
 
-(* full base extent, for the generic probe path *)
-let ensure_extent db (rt : node_rt) : extent =
+(* a derived node's extent, evaluated once per fetch through the
+   relational engine. It has no base rowid: its tuples are identified by
+   extent index, across its root evaluation and every edge into it *)
+let ensure_extent db (rt : node_rt) : Row.enc array =
   match rt.nr_extent with
   | Some x -> x
   | None ->
     note_query ();
-    let x =
-      match rt.nr_simple with
-      | Some s ->
-        let rows = ref [] in
-        iter_simple s rt.nr_access (fun rowid enc -> rows := (enc, rowid) :: !rows);
-        let rows = List.rev !rows in
-        { x_schema = rt.nr_ni.Cache.ni_schema; x_rows = Array.of_list (List.map fst rows);
-          x_rowids = Array.of_list (List.map snd rows) }
-      | None ->
-        let qgm = Db.bind_select db rt.nr_def.Co_schema.nd_query in
-        let rows = Array.of_seq (Seq.map Row.encode (Db.run_qgm db qgm)) in
-        { x_schema = rt.nr_ni.Cache.ni_schema; x_rows = rows;
-          x_rowids = Array.map (fun _ -> -1) rows }
-    in
+    let qgm = Db.bind_select db rt.nr_def.Co_schema.nd_query in
+    let x = Array.of_seq (Seq.map Row.encode (Db.run_qgm db qgm)) in
     rt.nr_extent <- Some x;
     x
 
-let tid_column = Schema.column ~nullable:false "__tid" Schema.Ty_int
-
-let temp_counter = ref 0
-
-(* temps live in the Value-level relational engine: cached/extent rows
-   decode at this boundary *)
-let make_temp schema (rows : (int * Row.enc) Seq.t) : Table.t =
-  incr temp_counter;
-  let cols =
-    tid_column
-    :: List.map (fun c -> { c with Schema.col_nullable = true; col_qualifier = "" })
-         (Schema.columns schema)
-  in
-  let t = Table.create ~name:(Printf.sprintf "__xnf_tmp%d" !temp_counter) (Schema.make cols) in
-  Seq.iter
-    (fun (tid, row) -> ignore (Table.insert t (Array.append [| Value.Int tid |] (Row.decode row))))
-    rows;
-  t
-
-let ensure_temp db rt =
-  match rt.nr_temp with
-  | Some t -> t
-  | None ->
-    let x = ensure_extent db rt in
-    let t =
-      make_temp x.x_schema
-        (Seq.zip (Seq.ints 0) (Array.to_seq x.x_rows) |> Seq.take (Array.length x.x_rows))
-    in
-    rt.nr_temp <- Some t;
-    t
-
 (* ---- probers ----
 
-   A prober answers "children of this parent tuple" for one relationship
-   through the OCaml-executed probe path: one key chain over one
-   candidate source, with one delivery routine. The indexed and
-   batch-hash strategies differ only in where candidates come from —
-   stored base-table indexes or version-cached hash builds; the generic
-   fallback routes a frontier batch through the relational engine
-   instead.
+   A prober answers "children of this parent tuple" for one relationship:
+   one key chain over one candidate source, with one delivery routine.
+   The three strategies differ only in the chain's key and where
+   candidates come from — stored base-table indexes (indexed), builds
+   keyed by every key pair (hash-batch), or builds with an empty key, one
+   bucket holding the child's rows (generic).
 
-   Delivery is CPS: a prober is bound to its [emit rowid base_enc attrs]
+   Delivery is CPS: a prober is bound to its [emit id enc attrs]
    consumer once per batch, then fed frontier rows. Per match it emits
-   the child's base rowid (identity), its ENCODED base row (the consumer
+   the child's identity (base rowid of a simple child, extent index of a
+   derived one), its ENCODED row (a simple child's base row: the consumer
    projects to node-output columns only when the tuple is first
    materialized) and the ENCODED relationship-attribute row. The fast
    path (no residual predicate, no WITH ATTRIBUTES, no probe-time child
@@ -307,7 +256,8 @@ let qual_is alias = function
 
    Each relationship's predicate is split into conjuncts and classified
    once per plan, in [compile_def]: an equality between a parent column
-   and a child base column is an FK key pair; on a USING edge an equality
+   and a child column (base column of a simple child, output column of a
+   derived one) is an FK key pair; on a USING edge an equality
    between a link column and a parent (child) column is a parent (child)
    link binding; everything else is residual. The key chains, the
    structural edge shape and — through the shape — servability
@@ -315,17 +265,18 @@ let qual_is alias = function
 
 type join_key =
   | Fk of (int * int * Sql_ast.expr) list
-      (** (parent column, child base column, source conjunct), predicate order *)
+      (** (parent column, child column, source conjunct), predicate order *)
   | Using of {
       link : Table.t;
       parent_bind : (int * int) list;  (** (link column, parent column) *)
-      child_bind : (int * int) list;  (** (link column, child base column) *)
+      child_bind : (int * int) list;  (** (link column, child column) *)
     }
 
 type edge_keys = {
   ek_key : join_key;
+  ek_key_conj : Sql_ast.expr list;  (** the key's source conjuncts, predicate order *)
   ek_residual : Sql_ast.expr list;  (** non-key conjuncts, predicate order *)
-  ek_concat : Schema.t;  (** parent ++ child base (++ link): residuals and attributes bind here *)
+  ek_concat : Schema.t;  (** parent ++ child (++ link): residuals and attributes bind here *)
 }
 
 (* the schema an edge's residual predicate and attributes bind over:
@@ -372,10 +323,11 @@ let attr_schema db (ed : Co_schema.edge_def) concat =
              ed.Co_schema.ed_name name)
        ed.Co_schema.ed_attrs)
 
-let analyze_keys db (ed : Co_schema.edge_def) ~(parent_schema : Schema.t) ~(child : simple) :
-    edge_keys =
+(* [child_schema] is a simple child's base-table schema, a derived
+   child's output schema *)
+let analyze_keys db (ed : Co_schema.edge_def) ~(parent_schema : Schema.t) ~(child_schema : Schema.t)
+    : edge_keys =
   let pa = ed.Co_schema.ed_parent_alias and ca = ed.Co_schema.ed_child_alias in
-  let child_schema = Table.schema child.s_table in
   let link =
     Option.map
       (fun (name, la) ->
@@ -393,16 +345,21 @@ let analyze_keys db (ed : Co_schema.edge_def) ~(parent_schema : Schema.t) ~(chil
         Option.map (fun i -> `Link i) (Schema.find_opt (Table.schema t) n)
       | _ -> None
   in
-  let fk = ref [] and parent_bind = ref [] and child_bind = ref [] and residual = ref [] in
+  let fk = ref [] and parent_bind = ref [] and child_bind = ref [] in
+  let key_conj = ref [] and residual = ref [] in
+  let key c = key_conj := c :: !key_conj in
   let rec split = function
     | Sql_ast.E_and (a, b) -> split a; split b
     | Sql_ast.E_cmp (Expr.Eq, Sql_ast.E_col (qa, na), Sql_ast.E_col (qb, nb)) as c -> begin
       match classify (qa, na), classify (qb, nb) with
       | (Some (`Parent p), Some (`Child ch) | Some (`Child ch), Some (`Parent p)) when link = None ->
+        key c;
         fk := (p, ch, c) :: !fk
       | Some (`Link l), Some (`Parent p) | Some (`Parent p), Some (`Link l) ->
+        key c;
         parent_bind := (l, p) :: !parent_bind
       | Some (`Link l), Some (`Child ch) | Some (`Child ch), Some (`Link l) ->
+        key c;
         child_bind := (l, ch) :: !child_bind
       | _ -> residual := c :: !residual
     end
@@ -415,12 +372,13 @@ let analyze_keys db (ed : Co_schema.edge_def) ~(parent_schema : Schema.t) ~(chil
     | Some (link, _) ->
       Using { link; parent_bind = List.rev !parent_bind; child_bind = List.rev !child_bind }
   in
-  { ek_key; ek_residual = List.rev !residual;
+  { ek_key; ek_key_conj = List.rev !key_conj; ek_residual = List.rev !residual;
     ek_concat = concat_schema db ed ~parent_schema ~child_schema }
 
-(* shared prelude of the OCaml-executed probe path: residual binding
-   over the concat schema and the per-EXECUTE parameter specialization. *)
-let prober_ctx db (ed : Co_schema.edge_def) (keys : edge_keys) ~(child : simple) =
+(* shared prelude of the probe path: residual binding over the concat
+   schema and the per-EXECUTE parameter specialization. [child] is the
+   simple child, [None] for a derived one. *)
+let prober_ctx db (ed : Co_schema.edge_def) (keys : edge_keys) ~(child : simple option) =
   let env = Db.bind_env db in
   let bind_residual = function
     | [] -> None
@@ -442,7 +400,7 @@ let prober_ctx db (ed : Co_schema.edge_def) (keys : edge_keys) ~(child : simple)
     let eval_attrs concat =
       Row.encode (Array.of_list (List.map (fun e -> Expr.eval concat e) afns))
     in
-    let cpred = Option.map sub child.s_pred in
+    let cpred = Option.map sub (Option.bind child (fun s -> s.s_pred)) in
     let child_ok base_row =
       match cpred with None -> true | Some p -> Value.is_true (Expr.eval_pred base_row p)
     in
@@ -454,8 +412,9 @@ let prober_ctx db (ed : Co_schema.edge_def) (keys : edge_keys) ~(child : simple)
 
    The set-oriented candidate source when no index serves the
    relationship: a hash table over the source table keyed by the key
-   columns is built once and every probe resolves through it. Builds hold
-   ENCODED base rows keyed by [Dict.key_cell]-normalized id arrays
+   columns is built once and every probe resolves through it (a derived
+   child's build is over its extent and lives for one fetch). Builds hold
+   ENCODED rows keyed by [Dict.key_cell]-normalized id arrays
    (one-column keys specialize to a raw-int hash table), with the whole
    bucket stored as the hash-table VALUE — a probe is one [find]
    returning the stored list, so the hot loop allocates nothing. A
@@ -511,6 +470,33 @@ let source_memo () =
       sources := hs :: !sources;
       hs
 
+(* one build: [iter add] feeds every candidate as [add id enc]. Pre-sized
+   to [n] so no resize ever rehashes the whole build; bucket lists are
+   stored as values (probe sets are frontier-sized, builds are
+   extent-sized, so the build side is the one to keep lean). An empty key
+   puts every row in one bucket. *)
+let hash_table n (key_cols : int array) iter : hash_tbl =
+  note_query ();
+  Obs.Metrics.incr m_hash_builds;
+  if Array.length key_cols = 1 then begin
+    let kc = key_cols.(0) in
+    let t : (int, hash_entries) Hashtbl.t = Hashtbl.create n in
+    iter (fun id enc ->
+        let k = Dict.key_cell enc.(kc) in
+        if not (Dict.is_null k) then
+          Hashtbl.replace t k ((id, enc) :: (match Hashtbl.find_opt t k with Some l -> l | None -> [])));
+    HB_single t
+  end
+  else begin
+    let t = Expr.Row_key_tbl.create n in
+    iter (fun id enc ->
+        let key = Array.map (fun i -> Dict.key_cell enc.(i)) key_cols in
+        if not (Expr.Row_key.has_null key) then
+          Expr.Row_key_tbl.replace t key
+            ((id, enc) :: (match Expr.Row_key_tbl.find_opt t key with Some l -> l | None -> [])));
+    HB_multi t
+  end
+
 let ensure_build (hs : hash_source) =
   let v = Table.version hs.hs_table in
   match hs.hs_build with
@@ -518,37 +504,10 @@ let ensure_build (hs : hash_source) =
     Obs.Metrics.incr m_hash_build_reuses;
     b.hb_tbl
   | _ ->
-    note_query ();
-    Obs.Metrics.incr m_hash_builds;
-    (* pre-sized to the extent so no resize ever rehashes the whole
-       build; bucket lists are stored as values (probe sets are
-       frontier-sized, builds are extent-sized, so the build side is the
-       one to keep lean) *)
-    let scan f = Access_path.iter hs.hs_table Access_path.Scan hs.hs_pred f in
-    let n = max 64 (Table.cardinality hs.hs_table) in
     let tbl =
-      if Array.length hs.hs_key_cols = 1 then begin
-        let kc = hs.hs_key_cols.(0) in
-        let t : (int, hash_entries) Hashtbl.t = Hashtbl.create n in
-        scan (fun rowid row ->
-            let enc = Row.encode row in
-            let k = Dict.key_cell enc.(kc) in
-            if not (Dict.is_null k) then
-              Hashtbl.replace t k
-                ((rowid, enc) :: (match Hashtbl.find_opt t k with Some l -> l | None -> [])));
-        HB_single t
-      end
-      else begin
-        let t = Expr.Row_key_tbl.create n in
-        scan (fun rowid row ->
-            let enc = Row.encode row in
-            let key = Array.map (fun i -> Dict.key_cell enc.(i)) hs.hs_key_cols in
-            if not (Expr.Row_key.has_null key) then
-              Expr.Row_key_tbl.replace t key
-                ((rowid, enc)
-                :: (match Expr.Row_key_tbl.find_opt t key with Some l -> l | None -> [])));
-        HB_multi t
-      end
+      hash_table (max 64 (Table.cardinality hs.hs_table)) hs.hs_key_cols (fun add ->
+          Access_path.iter hs.hs_table Access_path.Scan hs.hs_pred (fun rowid row ->
+              add rowid (Row.encode row)))
     in
     hs.hs_build <- Some { hb_version = v; hb_tbl = tbl };
     tbl
@@ -581,10 +540,12 @@ let mk_hash_probe (tbl : hash_tbl) (cols : int array) : Row.enc -> hash_entries 
 (* ---- candidate sources ----
 
    A candidate source answers "rows for this key": [src row f] calls
-   [f rowid enc] for every candidate whose key equals [row]'s key
-   columns, with the candidate's ENCODED row. A stored index looks the
-   boxed key up with [Table.lookup_index] and encodes each hit; a build
-   hands out its stored bucket as-is. Here, once for both: NULL keys
+   [f id enc] for every candidate whose key equals [row]'s key columns,
+   with the candidate's ENCODED row. A stored index looks the boxed key
+   up with [Table.lookup_index] and encodes each hit; a build hands out
+   its stored bucket as-is — a base table's build is version-cached
+   across executions, a derived child's is made per fetch over its
+   extent, identified by extent index. Here, once for all: NULL keys
    match nothing, and every candidate — before residual filtering —
    counts into the prober's [scanned] counter, the observable the
    adaptive fallback compares against the plan's scan estimate (stale
@@ -596,6 +557,7 @@ type source = Row.enc -> hits -> unit
 type source_kind =
   | Index of Table.t * Index.t  (** a stored index keyed exactly by the lookup's key columns *)
   | Build of hash_source
+  | Extent of int array  (** a derived child's extent, built per fetch on these columns *)
 
 type lookup = int array * source_kind  (** probing row's key columns, candidate source *)
 
@@ -617,10 +579,11 @@ let rec build_hits scanned (f : hits) = function
     build_hits scanned f rest
 
 (* open a source for one execution, keyed by the probing row's [cols]: a
-   build is (re)built or reused here; a stored index filters candidates
-   with [ok] on their boxed rows before encoding them (a build folds its
-   parameter-free predicate in instead) *)
-let open_source scanned ~ok ((cols, kind) : lookup) : source =
+   build is (re)built or reused here, [extent] supplies a derived
+   child's rows; a stored index filters candidates with [ok] on their
+   boxed rows before encoding them (a build folds its parameter-free
+   predicate in instead) *)
+let open_source scanned ~ok ~extent ((cols, kind) : lookup) : source =
   match kind with
   | Index (tbl, idx) ->
     let n = Array.length cols in
@@ -634,6 +597,11 @@ let open_source scanned ~ok ((cols, kind) : lookup) : source =
   | Build hs ->
     let find = mk_hash_probe (ensure_build hs) cols in
     fun row f -> build_hits scanned f (find row)
+  | Extent key_cols ->
+    let x = extent () in
+    let tbl = hash_table (max 64 (Array.length x)) key_cols (fun add -> Array.iteri add x) in
+    let find = mk_hash_probe tbl cols in
+    fun row f -> build_hits scanned f (find row)
 
 (* ---- key chains ----
 
@@ -641,7 +609,8 @@ let open_source scanned ~ok ((cols, kind) : lookup) : source =
    keyed by parent columns; a USING edge chains two: parent -> link rows
    -> child rows. The indexed chain keys an FK edge by its first pair
    with an index on the child column and leaves the other pairs to the
-   residual; the hash chain keys it by all pairs. *)
+   residual; the hash chain keys it by all pairs; the generic chain keys
+   it by none, leaving every key conjunct to the residual. *)
 
 type key_chain = {
   kc_link : lookup option;  (** USING: parent -> link rows *)
@@ -650,15 +619,14 @@ type key_chain = {
 }
 
 (* the chain's lookups over [fk_pairs] (an FK edge) or the link bindings:
-   (probing row's columns, source table, source key columns) *)
-let lookups (keys : edge_keys) ~(child : simple) fk_pairs =
+   link (probing row's columns, link table, link key columns) and child
+   (probing row's columns, child key columns) *)
+let lookups (keys : edge_keys) fk_pairs =
   let cols f l = Array.of_list (List.map f l) in
   match keys.ek_key with
-  | Fk _ ->
-    (None, (cols (fun (p, _, _) -> p) fk_pairs, child.s_table, cols (fun (_, ch, _) -> ch) fk_pairs))
+  | Fk _ -> (None, (cols (fun (p, _, _) -> p) fk_pairs, cols (fun (_, ch, _) -> ch) fk_pairs))
   | Using { link; parent_bind; child_bind } ->
-    ( Some (cols snd parent_bind, link, cols fst parent_bind),
-      (cols fst child_bind, child.s_table, cols snd child_bind) )
+    (Some (cols snd parent_bind, link, cols fst parent_bind), (cols fst child_bind, cols snd child_bind))
 
 let indexed_chain (keys : edge_keys) ~(child : simple) : key_chain option =
   let indexed (probe_cols, tbl, key_cols) =
@@ -666,8 +634,8 @@ let indexed_chain (keys : edge_keys) ~(child : simple) : key_chain option =
     else Option.map (fun idx -> (probe_cols, Index (tbl, idx))) (Table.find_index tbl ~cols:key_cols)
   in
   let chain fk_pairs kc_residual =
-    let link, child = lookups keys ~child fk_pairs in
-    match Option.map indexed link, indexed child with
+    let link, (probe_cols, key_cols) = lookups keys fk_pairs in
+    match Option.map indexed link, indexed (probe_cols, child.s_table, key_cols) with
     | None, Some kc_child -> Some { kc_link = None; kc_child; kc_residual }
     | Some (Some l), Some kc_child -> Some { kc_link = Some l; kc_child; kc_residual }
     | _ -> None
@@ -681,16 +649,32 @@ let indexed_chain (keys : edge_keys) ~(child : simple) : key_chain option =
       pairs
   | Using _ -> chain [] []
 
-let hash_chain ~source (keys : edge_keys) ~(child : simple) : key_chain =
+(* the hash chain ([keyed]) and the generic chain (not): every lookup
+   resolves through a build over a base table, or over a derived child's
+   extent ([child] = None). The generic chain's empty key makes each
+   build one bucket — the link table, the child's qualifying rows — that
+   every probe scans. *)
+let build_chain ~source ~keyed (keys : edge_keys) ~(child : simple option) : key_chain =
   (* a parameter-free child predicate filters at BUILD time, so probes
      skip per-candidate predicate evaluation (and the decode it needs);
      a parameterized one stays at probe time *)
   let build_pred =
-    match child.s_pred with Some p when not (Expr.has_param p) -> Some p | _ -> None
+    match child with Some { s_pred = Some p; _ } when not (Expr.has_param p) -> Some p | _ -> None
   in
-  let build pred (probe_cols, tbl, key_cols) = (probe_cols, Build (source tbl key_cols pred)) in
-  let link, child = lookups keys ~child (match keys.ek_key with Fk pairs -> pairs | Using _ -> []) in
-  { kc_link = Option.map (build None) link; kc_child = build build_pred child; kc_residual = [] }
+  let child_src key_cols =
+    match child with
+    | Some c -> Build (source c.s_table key_cols build_pred)
+    | None -> Extent key_cols
+  in
+  let link, (probe_cols, key_cols) =
+    lookups keys (match keys.ek_key with Fk pairs -> pairs | Using _ -> [])
+  in
+  if keyed then
+    { kc_link = Option.map (fun (pc, tbl, kc) -> (pc, Build (source tbl kc None))) link;
+      kc_child = (probe_cols, child_src key_cols); kc_residual = [] }
+  else
+    { kc_link = Option.map (fun (_, tbl, _) -> ([||], Build (source tbl [||] None))) link;
+      kc_child = ([||], child_src [||]); kc_residual = keys.ek_key_conj }
 
 (* [Row.decode] remembering its last argument: the hits of one frontier
    row share one decoded parent (and link) row *)
@@ -705,28 +689,29 @@ let decode_memo () =
 
 (* build the prober for [ed] over one key chain. The result is
    parameterized over EXECUTE-time values: applying it to a [params]
-   array substitutes the parameter slots once, opens the chain's sources
-   (building or reusing hash builds — once per fetch) and yields the
-   prober. The [int ref] counts candidate rows scanned, cumulative over
-   the prober's lifetime. *)
-let build_prober db (ed : Co_schema.edge_def) (keys : edge_keys) ~(child : simple)
-    (chain : key_chain) : (Value.t array -> prober) * int ref =
+   array and the derived child's extent substitutes the parameter slots
+   once, opens the chain's sources (building or reusing hash builds —
+   once per fetch) and yields the prober. The [int ref] counts candidate
+   rows scanned, cumulative over the prober's lifetime. *)
+let build_prober db (ed : Co_schema.edge_def) (keys : edge_keys) ~(child : simple option)
+    (chain : key_chain) : (Value.t array -> (unit -> Row.enc array) -> prober) * int ref =
   let bind_residual, no_attrs, specialize = prober_ctx db ed keys ~child in
   let residual0 = bind_residual (chain.kc_residual @ keys.ek_residual) in
   let using = chain.kc_link <> None in
-  (* the child predicate neither source applies: a stored index filters
-     its candidates, a build folds in only a parameter-free predicate *)
+  (* the child predicate no source applies: a stored index filters its
+     candidates, a build folds in only a parameter-free predicate, a
+     derived child has none *)
   let probe_pred =
-    match snd chain.kc_child with
-    | Build { hs_pred = None; _ } -> child.s_pred <> None
-    | Build _ | Index _ -> false
+    match snd chain.kc_child, child with
+    | Build { hs_pred = None; _ }, Some { s_pred = Some _; _ } -> true
+    | _ -> false
   in
   let scanned = ref 0 in
-  ( (fun params ->
+  ( (fun params extent ->
       let sub, eval_attrs, child_ok = specialize params in
       let residual = Option.map sub residual0 in
-      let link_src = Option.map (open_source scanned ~ok:always) chain.kc_link in
-      let child_src = open_source scanned ~ok:child_ok chain.kc_child in
+      let link_src = Option.map (open_source scanned ~ok:always ~extent) chain.kc_link in
+      let child_src = open_source scanned ~ok:child_ok ~extent chain.kc_child in
       let child_ok = if probe_pred then child_ok else always in
       let fast = residual = None && no_attrs && not probe_pred in
       fun emit ->
@@ -772,47 +757,6 @@ let build_prober db (ed : Co_schema.edge_def) (keys : edge_keys) ~(child : simpl
             probe row deliver),
     scanned )
 
-(* the generic join tree for an edge, over [__tid]-bearing temps *)
-let edge_tree db (ed : Co_schema.edge_def) ~parent_temp ~child_temp =
-  let p = Qgm.Temp { table = parent_temp; alias = ed.Co_schema.ed_parent_alias } in
-  let c = Qgm.Temp { table = child_temp; alias = ed.Co_schema.ed_child_alias } in
-  let j = Qgm.Join { kind = Qgm.Inner; left = p; right = c; pred = None } in
-  let tree =
-    match ed.Co_schema.ed_using with
-    | None -> j
-    | Some (table, alias) ->
-      if Catalog.table_opt (Db.catalog db) table = None then
-        err "[XNF005] relationship %s: USING table %s does not exist" ed.Co_schema.ed_name table;
-      Qgm.Join { kind = Qgm.Inner; left = j; right = Qgm.Access { table; alias }; pred = None }
-  in
-  let schema = Qgm.schema_of (Db.catalog db) tree in
-  let pred = Binder.bind_expr (Db.bind_env db) schema ed.Co_schema.ed_pred in
-  (Qgm.Select { input = tree; pred }, schema)
-
-(* the per-round generic probe: one query yields the reached child tids
-   AND the connection payload (parent tid, child tid, relationship
-   attributes), so no second full join is needed after the fixpoint *)
-let probe_edge_generic_fused db (ed : Co_schema.edge_def) ~parent_temp ~child_temp :
-    (int * int * Row.t) list =
-  let tree, schema = edge_tree db ed ~parent_temp ~child_temp in
-  let p_tid = Schema.find schema ~qualifier:ed.Co_schema.ed_parent_alias "__tid" in
-  let c_tid = Schema.find schema ~qualifier:ed.Co_schema.ed_child_alias "__tid" in
-  let env = Db.bind_env db in
-  let attr_cols =
-    List.map
-      (fun (e, name) ->
-        let bound = Binder.bind_expr env schema e in
-        let ty = Binder.infer_ty env schema bound in
-        (bound, Schema.column name ty))
-      ed.Co_schema.ed_attrs
-  in
-  let cols = (Expr.Col p_tid, tid_column) :: (Expr.Col c_tid, tid_column) :: attr_cols in
-  let qgm = Qgm.Project { input = tree; cols } in
-  run_query db qgm
-  |> Seq.map (fun row ->
-         (Value.as_int row.(0), Value.as_int row.(1), Array.sub row 2 (Array.length row - 2)))
-  |> List.of_seq
-
 (* ---- structural edge shapes ----
 
    The join structure of each relationship — which base table the child
@@ -830,7 +774,8 @@ type edge_shape = Edge_cost.edge_shape = {
   es_strategy : strategy;  (** access path selected for this plan *)
   es_child_table : string option;  (** child's base table when the child is simple *)
   es_parent_cols : string list;  (** parent-side equality join columns (node output names) *)
-  es_child_cols : string list;  (** child-side equality join columns (base-table names) *)
+  es_child_cols : string list;
+      (** child-side equality join columns (base-table names; output names of a derived child) *)
   es_using : (string * string list) option;
       (** link table and the link-side columns the parent binds, for USING edges *)
   es_indexed : bool;  (** an index chain serves the probe as compiled *)
@@ -846,36 +791,28 @@ type node_shape = Edge_cost.node_shape = {
 
 let col_name schema i = (Schema.col schema i).Schema.col_name
 
-(* [keys] is the simple child with its key analysis (None: the child is
-   not simple and only the generic path applies); [indexed] whether the
-   indexed key chain found its indexes *)
-let edge_shape_of (ed : Co_schema.edge_def) ~(parent_schema : Schema.t) ~keys ~indexed :
-    edge_shape =
+(* [child_table] is a simple child's base table; [child_schema] the
+   schema [keys] was analyzed over; [indexed] whether the indexed key
+   chain found its indexes *)
+let edge_shape_of (ed : Co_schema.edge_def) ~(parent_schema : Schema.t) ~child_table ~child_schema
+    (k : edge_keys) ~indexed : edge_shape =
   let base =
     { es_name = ed.Co_schema.ed_name; es_parent = ed.Co_schema.ed_parent;
-      es_child = ed.Co_schema.ed_child; es_strategy = S_generic; es_child_table = None;
-      es_parent_cols = []; es_child_cols = []; es_using = None; es_indexed = indexed;
-      es_residual = false }
+      es_child = ed.Co_schema.ed_child; es_strategy = S_generic;
+      es_child_table = Option.map Table.name child_table; es_parent_cols = []; es_child_cols = [];
+      es_using = None; es_indexed = indexed; es_residual = k.ek_residual <> [] }
   in
-  match keys with
-  | None -> base
-  | Some (child, k) -> begin
-    let child_schema = Table.schema child.s_table in
-    let base =
-      { base with es_child_table = Some (Table.name child.s_table); es_residual = k.ek_residual <> [] }
-    in
-    match k.ek_key with
-    | Fk pairs ->
-      { base with
-        es_parent_cols = List.map (fun (p, _, _) -> col_name parent_schema p) pairs;
-        es_child_cols = List.map (fun (_, ch, _) -> col_name child_schema ch) pairs }
-    | Using { link; parent_bind; child_bind } ->
-      { base with
-        es_parent_cols = List.map (fun (_, p) -> col_name parent_schema p) parent_bind;
-        es_child_cols = List.map (fun (_, ch) -> col_name child_schema ch) child_bind;
-        es_using =
-          Some (Table.name link, List.map (fun (l, _) -> col_name (Table.schema link) l) parent_bind) }
-  end
+  match k.ek_key with
+  | Fk pairs ->
+    { base with
+      es_parent_cols = List.map (fun (p, _, _) -> col_name parent_schema p) pairs;
+      es_child_cols = List.map (fun (_, ch, _) -> col_name child_schema ch) pairs }
+  | Using { link; parent_bind; child_bind } ->
+    { base with
+      es_parent_cols = List.map (fun (_, p) -> col_name parent_schema p) parent_bind;
+      es_child_cols = List.map (fun (_, ch) -> col_name child_schema ch) child_bind;
+      es_using =
+        Some (Table.name link, List.map (fun (l, _) -> col_name (Table.schema link) l) parent_bind) }
 
 (* base tables a SELECT depends on (for staleness tracking) *)
 let rec tables_of_select catalog (q : Sql_ast.select) : string list =
@@ -959,12 +896,12 @@ let node_shape (name, np) =
   { ns_name = name; ns_table = Option.map (fun s -> Table.name s.s_table) np.np_simple;
     ns_pred = Option.bind np.np_simple (fun s -> s.s_pred); ns_query = np.np_def.Co_schema.nd_query }
 
-(* one compiled access path: relationship-attribute schema, parameterized
-   prober (its closure owns any version-cached hash builds), and the
-   cumulative candidate-rows-scanned counter its probes maintain *)
+(* one compiled access path: the prober parameterized over EXECUTE-time
+   values and the derived child's extent (its closure owns any
+   version-cached hash builds), and the cumulative candidate-rows-scanned
+   counter its probes maintain *)
 type built_prober = {
-  bp_schema : Schema.t;
-  bp_fn : Value.t array -> prober;
+  bp_fn : Value.t array -> (unit -> Row.enc array) -> prober;
   bp_scanned : int ref;
 }
 
@@ -972,9 +909,10 @@ type built_prober = {
    plan picks one, the adaptive runtime check may instate an alternate
    mid-fixpoint. Unbuilt probers cost nothing until specialized. *)
 type edge_candidates = {
+  ec_attrs : Schema.t;  (** relationship-attribute schema *)
   ec_indexed : built_prober option;
   ec_hash : built_prober option;
-  ec_generic_schema : Schema.t;  (** the always-applicable fallback *)
+  ec_generic : built_prober;  (** always applicable *)
 }
 
 type edge_plan = {
@@ -1053,38 +991,33 @@ let compile_def ?(take = Xnf_ast.Take_star) ?force db (def : Co_schema.t) : comp
         def.Co_schema.co_edges
     |> List.sort_uniq compare
   in
-  (* per edge: one key analysis (a probe path over base rows needs a
-     simple child), the shape read off it, and every access path
-     [Edge_cost.candidates] lists for that shape, compiled up front;
+  (* per edge: one key analysis (over a simple child's base rows or a
+     derived child's output rows), the shape read off it, and every access
+     path [Edge_cost.candidates] lists for that shape, compiled up front;
      generic always applies *)
   let source = source_memo () in
   let cand_edges =
     List.map
       (fun (ed : Co_schema.edge_def) ->
         let parent = node ed.Co_schema.ed_parent and child = node ed.Co_schema.ed_child in
-        let parent_schema = parent.np_schema in
-        let keys =
-          Option.map (fun c -> (c, analyze_keys db ed ~parent_schema ~child:c)) child.np_simple
-        in
-        let probe_path (c, k) chain =
-          let f, scanned = build_prober db ed k ~child:c chain in
-          { bp_schema = attr_schema db ed k.ek_concat; bp_fn = f; bp_scanned = scanned }
+        let parent_schema = parent.np_schema and simple = child.np_simple in
+        let child_table = Option.map (fun c -> c.s_table) simple in
+        let child_schema = Option.fold ~none:child.np_schema ~some:Table.schema child_table in
+        let keys = analyze_keys db ed ~parent_schema ~child_schema in
+        let probe_path chain =
+          let f, scanned = build_prober db ed keys ~child:simple chain in
+          { bp_fn = f; bp_scanned = scanned }
         in
         let ec_indexed =
-          Option.bind keys (fun ((c, k) as ck) ->
-              Option.map (probe_path ck) (indexed_chain k ~child:c))
+          Option.bind simple (fun c -> Option.map probe_path (indexed_chain keys ~child:c))
         in
-        let shape = edge_shape_of ed ~parent_schema ~keys ~indexed:(ec_indexed <> None) in
-        let ec_hash =
-          if List.mem S_hash (Edge_cost.candidates shape) then
-            Option.map (fun ((c, k) as ck) -> probe_path ck (hash_chain ~source k ~child:c)) keys
-          else None
+        let shape =
+          edge_shape_of ed ~parent_schema ~child_table ~child_schema keys ~indexed:(ec_indexed <> None)
         in
-        let cands =
-          { ec_indexed; ec_hash;
-            ec_generic_schema =
-              attr_schema db ed (concat_schema db ed ~parent_schema ~child_schema:child.np_schema) }
-        in
+        let batch keyed = probe_path (build_chain ~source ~keyed keys ~child:simple) in
+        let ec_hash = if List.mem S_hash (Edge_cost.candidates shape) then Some (batch true) else None in
+        let ec_generic = batch false in
+        let cands = { ec_attrs = attr_schema db ed keys.ek_concat; ec_indexed; ec_hash; ec_generic } in
         (ed, cands, shape))
       def.Co_schema.co_edges
   in
@@ -1217,20 +1150,20 @@ let base_tables (cp : compiled) : string list = cp.cp_base_tables
 (* ---- execution: a short driver over roots, fixpoint, connections and
    restrictions, sharing one per-fetch runtime record ---- *)
 
-(* per-edge runtime state for one execution: the substituted definition,
-   the connection buffer its probes fill, which strategy is serving, its
-   prober bound to this execution's parameters (None = generic path), and
-   the observed frontier/connection/candidate-scan counters the
-   between-rounds adaptive check compares against the plan's estimates *)
+(* per-edge runtime state for one execution: the connection buffer its
+   probes fill, which strategy is serving, its prober bound to this
+   execution's parameters, and the observed frontier/connection/
+   candidate-scan counters the between-rounds adaptive check compares
+   against the plan's estimates *)
 type edge_rt = {
-  er_def : Co_schema.edge_def;  (** [?] slots substituted: the generic path re-binds it *)
+  er_def : Co_schema.edge_def;
   er_plan : edge_plan;
   er_parent : node_rt;
   er_child : node_rt;
   er_buf : Cache.conns;
   mutable er_serving : strategy;
-  mutable er_probe : prober option;
-  mutable er_bp : built_prober option;  (** serving prober's compile-time record *)
+  mutable er_probe : prober;
+  mutable er_bp : built_prober;  (** serving prober's compile-time record *)
   mutable er_scan_base : int;  (** [bp_scanned] when the serving prober was instated *)
   mutable er_probed : int;  (** frontier rows fed to this edge so far *)
   mutable er_conns : int;  (** connections produced so far *)
@@ -1246,23 +1179,23 @@ type run = {
   ru_edges : edge_rt list;  (** definition order *)
 }
 
-(* instate strategy [s] on an edge: binding the parameter slots into its
-   prober; batch-hash edges (re)build or reuse their version-cached hash
-   tables here, once per fetch *)
-let set_serving params er s =
-  er.er_serving <- s;
+(* strategy [s]'s prober for an edge, binding the parameter slots and
+   the child's extent; batch edges (re)build or reuse their hash tables
+   here, once per fetch *)
+let instate db params (cands : edge_candidates) child s =
   let bp =
-    match s with
-    | S_indexed -> er.er_plan.ep_cands.ec_indexed
-    | S_hash -> er.er_plan.ep_cands.ec_hash
-    | S_generic -> None
+    match s, cands with
+    | S_indexed, { ec_indexed = Some bp; _ } | S_hash, { ec_hash = Some bp; _ } -> bp
+    | _ -> cands.ec_generic
   in
+  (bp, bp.bp_fn params (fun () -> ensure_extent db child))
+
+let set_serving run er s =
+  let bp, probe = instate run.ru_db run.ru_params er.er_plan.ep_cands er.er_child s in
+  er.er_serving <- s;
   er.er_bp <- bp;
-  match bp with
-  | Some bp ->
-    er.er_probe <- Some (bp.bp_fn params);
-    er.er_scan_base <- !(bp.bp_scanned)
-  | None -> er.er_probe <- None
+  er.er_probe <- probe;
+  er.er_scan_base <- !(bp.bp_scanned)
 
 (* fresh per-fetch node state from the immutable plan; warm
    re-executions presize from the previous run's cardinalities so the
@@ -1291,7 +1224,7 @@ let node_rts (cp : compiled) params =
       in
       ( name,
         { nr_def = nd; nr_simple = simple; nr_access = access; nr_ni = ni; nr_extent = None;
-          nr_temp = None; nr_tid2pos = Intmap.create ~size:16; nr_mark = 0; nr_limit = 0 } ))
+          nr_tid2pos = Intmap.create ~size:16; nr_mark = 0; nr_limit = 0 } ))
     cp.cp_nodes
 
 (* per edge: serving starts from the plan's effective strategy, so a
@@ -1300,27 +1233,20 @@ let node_rts (cp : compiled) params =
    the cache's struct-of-arrays buffers directly — two int pushes per
    match, attribute rows only on edges that declare them — and the
    readout adopts the buffers wholesale *)
-let edge_rts (cp : compiled) params nodes =
-  let sub_expr e = if Array.length params = 0 then e else Sql_ast.subst_params_expr params e in
+let edge_rts db (cp : compiled) params nodes =
   let serving = effective_strategies cp in
   List.map
     (fun (ed : Co_schema.edge_def) ->
       let name = ed.Co_schema.ed_name in
-      let er =
-        { er_def =
-            { ed with
-              Co_schema.ed_pred = sub_expr ed.Co_schema.ed_pred;
-              ed_attrs = List.map (fun (e, n) -> (sub_expr e, n)) ed.Co_schema.ed_attrs };
-          er_plan = List.assoc name cp.cp_edges;
-          er_parent = List.assoc ed.Co_schema.ed_parent nodes;
-          er_child = List.assoc ed.Co_schema.ed_child nodes;
-          er_buf =
-            Cache.make_conns ~size_hint:(hint cp ("e:" ^ name) 8) ~attrs:(ed.Co_schema.ed_attrs <> []) ();
-          er_serving = S_generic; er_probe = None; er_bp = None; er_scan_base = 0; er_probed = 0;
-          er_conns = 0; er_switched = false; er_probe_ns = 0. }
-      in
-      set_serving params er (List.assoc name serving);
-      er)
+      let plan = List.assoc name cp.cp_edges and child = List.assoc ed.Co_schema.ed_child nodes in
+      let s = List.assoc name serving in
+      let bp, probe = instate db params plan.ep_cands child s in
+      { er_def = ed; er_plan = plan; er_parent = List.assoc ed.Co_schema.ed_parent nodes;
+        er_child = child;
+        er_buf =
+          Cache.make_conns ~size_hint:(hint cp ("e:" ^ name) 8) ~attrs:(ed.Co_schema.ed_attrs <> []) ();
+        er_serving = s; er_probe = probe; er_bp = bp; er_scan_base = !(bp.bp_scanned); er_probed = 0;
+        er_conns = 0; er_switched = false; er_probe_ns = 0. })
     cp.cp_def.Co_schema.co_edges
 
 (* roots: set-oriented evaluation of the derivations *)
@@ -1336,12 +1262,9 @@ let roots run =
         iter_simple s r.nr_access (fun rowid enc -> ignore (Cache.add_tuple r.nr_ni ~rowid enc))
       | None ->
         Obs.Trace.add_meta "access" "sql";
-        let x = ensure_extent run.ru_db r in
         Array.iteri
-          (fun tid row ->
-            let pos = Cache.add_tuple r.nr_ni ~rowid:x.x_rowids.(tid) row in
-            Intmap.set r.nr_tid2pos tid pos)
-          x.x_rows);
+          (fun tid row -> Intmap.set r.nr_tid2pos tid (Cache.add_tuple r.nr_ni ~rowid:(-1) row))
+          (ensure_extent run.ru_db r));
       Obs.Trace.add_meta "rows" (string_of_int (Cache.live_count r.nr_ni)))
     (Co_schema.roots run.ru_cp.cp_def)
 
@@ -1363,24 +1286,31 @@ let child_proj child_rt =
     if identity then fun (enc : Row.enc) -> enc else fun enc -> Row.project_enc enc s.s_proj
   | None -> fun enc -> enc
 
-(* one edge's probe of its parent slice through its OCaml prober; true
-   when a child tuple was created *)
+(* one edge's probe of its parent slice through its prober; true when a
+   child tuple was created. A simple child's tuples are identified by
+   base rowid, a derived child's by extent index. *)
 let probe_batch er (probe : prober) =
   note_query ();
   let parent_rt = er.er_parent and child_rt = er.er_child in
+  let ni = child_rt.nr_ni and derived = child_rt.nr_simple = None in
   let proj = child_proj child_rt in
   let changed = ref false in
   (* one emit closure per batch (not per frontier row): the current
      parent position threads through a mutable cell *)
   let cur = ref 0 in
   let probe_row =
-    probe (fun rowid enc attrs ->
-        let cpos = Cache.pos_of_rowid child_rt.nr_ni rowid in
+    probe (fun id enc attrs ->
+        let cpos = if derived then Intmap.get child_rt.nr_tid2pos id else Cache.pos_of_rowid ni id in
         let cpos =
           if cpos >= 0 then cpos
           else begin
             changed := true;
-            Cache.add_tuple child_rt.nr_ni ~rowid (proj enc)
+            if derived then begin
+              let pos = Cache.add_tuple ni ~rowid:(-1) enc in
+              Intmap.set child_rt.nr_tid2pos id pos;
+              pos
+            end
+            else Cache.add_tuple ni ~rowid:id (proj enc)
           end
         in
         ignore (Cache.push_conn er.er_buf ~parent:!cur ~child:cpos ~attrs);
@@ -1390,47 +1320,6 @@ let probe_batch er (probe : prober) =
     cur := pos;
     probe_row (Cache.tuple parent_rt.nr_ni pos).Cache.t_row
   done;
-  !changed
-
-(* the generic path: the parent slice as a temp, joined to the child's
-   materialized extent through the relational engine; true when a child
-   tuple was created *)
-let probe_generic run er =
-  let parent_rt = er.er_parent and child_rt = er.er_child in
-  let child_temp = ensure_temp run.ru_db child_rt in
-  let parent_temp =
-    make_temp parent_rt.nr_ni.Cache.ni_schema
-      (Seq.map
-         (fun pos -> (pos, (Cache.tuple parent_rt.nr_ni pos).Cache.t_row))
-         (Seq.init (parent_rt.nr_limit - parent_rt.nr_mark) (fun i -> parent_rt.nr_mark + i)))
-  in
-  let x = Option.get child_rt.nr_extent in
-  let changed = ref false in
-  (* child position for an extent tid, creating the tuple on first
-     reach; dedupes by rowid too, in case another (indexed/hash) edge
-     already delivered this base row *)
-  let pos_of_tid tid =
-    let known = Intmap.get child_rt.nr_tid2pos tid in
-    if known >= 0 then known
-    else begin
-      let rid = x.x_rowids.(tid) in
-      let by_rowid = if rid >= 0 then Cache.pos_of_rowid child_rt.nr_ni rid else -1 in
-      let pos =
-        if by_rowid >= 0 then by_rowid
-        else begin
-          changed := true;
-          Cache.add_tuple child_rt.nr_ni ~rowid:rid x.x_rows.(tid)
-        end
-      in
-      Intmap.set child_rt.nr_tid2pos tid pos;
-      pos
-    end
-  in
-  List.iter
-    (fun (ppos, tid, attrs) ->
-      ignore (Cache.push_conn er.er_buf ~parent:ppos ~child:(pos_of_tid tid) ~attrs:(Row.encode attrs));
-      er.er_conns <- er.er_conns + 1)
-    (probe_edge_generic_fused run.ru_db er.er_def ~parent_temp ~child_temp);
   !changed
 
 (* ---- adaptive mid-fixpoint fallback ----
@@ -1463,27 +1352,27 @@ let adaptive_check run round =
         let factor = adaptive_factor () in
         let f = float_of_int er.er_probed in
         let c = float_of_int er.er_conns in
-        let scan =
-          match er.er_bp with
-          | Some bp -> float_of_int (!(bp.bp_scanned) - er.er_scan_base)
-          | None -> 0.
-        in
+        let scan = float_of_int (!(er.er_bp.bp_scanned) - er.er_scan_base) in
         let est_scan =
-          match er.er_serving with
-          | S_indexed -> f *. Float.max 1. ee.Edge_cost.ee_cand_fan
-          | S_hash -> f *. Float.max 1. ee.Edge_cost.ee_fanout
-          | S_generic -> 0.
+          f
+          *. Float.max 1.
+               (match er.er_serving with
+               | S_indexed -> ee.Edge_cost.ee_cand_fan
+               | S_hash -> ee.Edge_cost.ee_fanout
+               | S_generic -> ee.Edge_cost.ee_child)
         in
         let exceeds obs est = obs >= fmin && obs > factor *. Float.max 1. est in
         if
           exceeds f ee.Edge_cost.ee_frontier
           || exceeds c ee.Edge_cost.ee_conns
-          || (er.er_serving <> S_generic && exceeds scan est_scan)
+          || exceeds scan est_scan
         then begin
           er.er_switched <- true;
           let shape = List.find (fun s -> s.es_name = name) cp.cp_shapes in
           let live_child =
-            match shape.es_child_table with None -> infinity | Some t -> live_card t
+            match shape.es_child_table with
+            | Some t -> live_card t
+            | None -> float_of_int (Array.length (ensure_extent run.ru_db er.er_child))
           in
           let live_build =
             match shape.es_using with
@@ -1506,7 +1395,7 @@ let adaptive_check run round =
             let sw = { sw_edge = name; sw_from = er.er_serving; sw_to = target; sw_round = round } in
             cp.cp_switches <- sw :: List.filter (fun s -> s.sw_edge <> name) cp.cp_switches;
             Obs.Metrics.incr m_strategy_switches;
-            set_serving run.ru_params er target
+            set_serving run er target
           end
         end
       | _ -> ())
@@ -1543,14 +1432,8 @@ let fixpoint run mode =
           (* rounds interleave the edges, so each edge's probe time is
              accumulated here and reported on its connections span *)
           let t0 = Obs.Metrics.now_ns () in
-          let grew =
-            match er.er_probe with
-            | Some probe ->
-              if er.er_serving = S_hash then Obs.Metrics.incr m_hash_probes;
-              probe_batch er probe
-            | None -> probe_generic run er
-          in
-          if grew then changed := true;
+          if er.er_serving = S_hash then Obs.Metrics.incr m_hash_probes;
+          if probe_batch er er.er_probe then changed := true;
           er.er_probe_ns <- er.er_probe_ns +. (Obs.Metrics.now_ns () -. t0)
         end)
       run.ru_edges;
@@ -1567,9 +1450,6 @@ let connections run =
     (fun er ->
       let ed = er.er_def in
       Obs.Trace.with_span ("edge:" ^ ed.Co_schema.ed_name) @@ fun () ->
-      let attr_schema =
-        match er.er_bp with Some bp -> bp.bp_schema | None -> er.er_plan.ep_cands.ec_generic_schema
-      in
       (* adopt the buffer wholesale as the edge's connection store —
          zero-copy, filled in delivery order *)
       Obs.Trace.add_meta "conns" (string_of_int er.er_buf.Cache.cs_len);
@@ -1577,7 +1457,7 @@ let connections run =
       ( ed.Co_schema.ed_name,
         { Cache.ei_name = ed.Co_schema.ed_name; ei_parent = ed.Co_schema.ed_parent;
           ei_child = ed.Co_schema.ed_child; ei_parent_node = er.er_parent.nr_ni;
-          ei_child_node = er.er_child.nr_ni; ei_attr_schema = attr_schema; ei_conns = er.er_buf;
+          ei_child_node = er.er_child.nr_ni; ei_attr_schema = er.er_plan.ep_cands.ec_attrs; ei_conns = er.er_buf;
           ei_adj = None; ei_upd = Semantic.Upd_readonly "pending analysis" } ))
     run.ru_edges
 
@@ -1630,7 +1510,7 @@ let execute_def ?fixpoint:(mode = Semi_naive) ?(params = [||]) db (cp : compiled
   let nodes = node_rts cp params in
   let edges =
     Obs.Trace.with_span "cache-fill" @@ fun () ->
-    let edges = Obs.Trace.with_span "edge-builds" (fun () -> edge_rts cp params nodes) in
+    let edges = Obs.Trace.with_span "edge-builds" (fun () -> edge_rts db cp params nodes) in
     let run = { ru_db = db; ru_cp = cp; ru_params = params; ru_nodes = nodes; ru_edges = edges } in
     Obs.Trace.with_span "roots" (fun () -> roots run);
     Obs.Trace.with_span "fixpoint" (fun () ->

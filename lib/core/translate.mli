@@ -11,11 +11,13 @@
     - each relationship's predicate is analyzed once into its join key
       (FK pairs or USING link bindings, plus residual conjuncts), and each
       probe is access-path selected from it: FK-equality and indexed USING
-      patterns run as index-nested-loop probes, other keyed edges over a
-      simple child as batch hash probes against version-cached builds —
-      one prober, a key chain over either candidate source — and
-      everything else as generic QGM plans through the relational engine
-      (rewrite and plan optimization included);
+      patterns run as index-nested-loop probes, other keyed edges as batch
+      hash probes against builds (version-cached over a base table, per
+      fetch over a derived child's extent), and everything else as a
+      generic scan of the child's rows with every conjunct residual — one
+      prober, a key chain over a candidate source, for all three;
+    - a derived (non-simple) node's derivation runs through the relational
+      engine once per fetch; its tuples are identified by extent index;
     - non-root extents are lazy: only reached tuples materialize;
     - connection extents are produced by the reachability probes
       themselves (the naive variant keeps its last round's);
@@ -30,7 +32,7 @@ exception Translate_error of string
 type fixpoint = Semi_naive | Naive
 
 (** Edge access paths, in static selection-priority order:
-    index-nested-loop probe, batch hash probe, generic QGM join. The
+    index-nested-loop probe, batch hash probe, generic scan. The
     definition lives in [Relational.Edge_cost] — the shared cost model
     the planner and the static plan advisor both consult. *)
 type strategy = Edge_cost.strategy = S_indexed | S_hash | S_generic
@@ -41,7 +43,8 @@ val strategy_name : strategy -> string
 
 (** Translation activity is counted in the process-global metrics
     registry ([Obs.Metrics]) only, under [xnf.translate.*]: [queries]
-    (relational queries and batch probe passes run), [rounds],
+    (relational passes: root evaluations, derived extents, hash builds
+    and probe batches), [rounds],
     [tuples_probed] (frontier sizes fed to edge probes),
     [indexed_probes] / [hash_edges] / [generic_probes] (edges compiled
     onto each access path), [hash_builds], [hash_build_reuses],
@@ -79,7 +82,8 @@ type compiled
     [ANALYZE] snapshot, each edge's strategy is picked per plan by the
     shared cost model ([Relational.Edge_cost]); with missing or stale
     stats selection falls back to the static priority rules
-    (indexed > hash > generic). Passing the query's [take] (default
+    (indexed > hash > generic). A USING table that does not exist raises
+    [Translate_error] ([XNF005]). Passing the query's [take] (default
     [TAKE *]) also precomputes the final post-projection updatability
     analysis for {!finalize_plan}. [force] pins selection to one strategy
     (differential testing, per-strategy benches) and always wins over the
@@ -126,7 +130,8 @@ type edge_shape = Edge_cost.edge_shape = {
   es_strategy : strategy;  (** access path selected for this plan *)
   es_child_table : string option;  (** child's base table when the child is simple *)
   es_parent_cols : string list;  (** parent-side equality join columns (node output names) *)
-  es_child_cols : string list;  (** child-side equality join columns (base-table names) *)
+  es_child_cols : string list;
+      (** child-side equality join columns (base-table names; output names of a derived child) *)
   es_using : (string * string list) option;
       (** link table and the link-side columns the parent binds, for USING edges *)
   es_indexed : bool;  (** an index chain serves the probe as compiled *)

@@ -30,7 +30,7 @@ let detail_of (o : Oracle.outcome) =
 
 let coverage_counts =
   [ "recursive"; "sharing"; "views"; "using"; "paths"; "naive"; "lw90"; "mono"; "hash";
-    "adaptive"; "advise"; "dict"; "noindex" ]
+    "adaptive"; "advise"; "dict"; "noindex"; "derived" ]
 
 let bump cov (f : Oracle.flags) =
   let on = function
@@ -47,6 +47,7 @@ let bump cov (f : Oracle.flags) =
     | "advise" -> f.Oracle.f_advise
     | "dict" -> f.Oracle.f_dict
     | "noindex" -> f.Oracle.f_noindex
+    | "derived" -> f.Oracle.f_derived
     | _ -> false
   in
   List.map (fun (k, n) -> (k, if on k then n + 1 else n)) cov

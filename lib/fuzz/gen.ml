@@ -13,7 +13,8 @@
    index), then extra edges add schema sharing, M:N USING link tables,
    WITH ATTRIBUTES, back edges (cycles) and self loops. Node derivations
    are [SELECT * FROM ti], sometimes wrapped in a WHERE restriction
-   (a [g] bound, an indexed column equal to a stored value, or both);
+   (a [g] bound, an indexed column equal to a stored value, or both),
+   sometimes made derived (DISTINCT, or GROUP BY every column);
    restrictions mix SQL node/edge predicates with reduced and qualified
    path expressions; views cover prefixes of the node set (views over
    views); TAKE is * or a random structural projection. *)
@@ -214,17 +215,27 @@ let generate ?(config = default) ~seed ~index () : case =
     eq (Sql_ast.E_col (None, col)) (Sql_ast.E_lit row.(pos))
   in
   let derivation i =
-    if Rng.bool rng 0.25 then begin
-      let g_le = Sql_ast.E_cmp (Expr.Le, Sql_ast.E_col (None, "g"), eint (Rng.in_range rng 1 4)) in
-      let where =
+    let where =
+      if Rng.bool rng 0.25 then begin
+        let g_le = Sql_ast.E_cmp (Expr.Le, Sql_ast.E_col (None, "g"), eint (Rng.in_range rng 1 4)) in
         match Rng.int rng 3 with
-        | 0 -> g_le
-        | 1 -> indexed_eq i
-        | _ -> Sql_ast.E_and (indexed_eq i, g_le)
-      in
-      Sql_ast.simple_select [ Sql_ast.Sel_star ] [ Sql_ast.From_table (tbl_name i, None) ] (Some where)
-    end
-    else Sql_ast.select_star_from (tbl_name i)
+        | 0 -> Some g_le
+        | 1 -> Some (indexed_eq i)
+        | _ -> Some (Sql_ast.E_and (indexed_eq i, g_le))
+      end
+      else None
+    in
+    let q = Sql_ast.simple_select [ Sql_ast.Sel_star ] [ Sql_ast.From_table (tbl_name i, None) ] where in
+    (* a derived node: same columns, but not a base-table select, so its
+       extent is materialized and edges into it probe that extent *)
+    match Rng.int rng 16 with
+    | 0 -> { q with Sql_ast.sel_distinct = true }
+    | 1 ->
+      let cols = Array.to_list (Array.map (fun c -> Sql_ast.E_col (None, c)) node_cols) in
+      { q with
+        Sql_ast.sel_items = List.map (fun c -> Sql_ast.Sel_expr (c, None)) cols;
+        sel_group_by = cols }
+    | _ -> q
   in
   let derivations = Array.init n derivation in
   let node_binding i = B_node { bn_name = node_name i; bn_query = derivations.(i) } in

@@ -5,6 +5,9 @@
    against every oracle that supports the composed definition:
 
      - semi-naive vs naive reachability fixpoint (always);
+     - every forced edge access path, and [Baseline.Sql_route] — the
+       §4 rewrite of each relationship into a relational join — against
+       the pre-TAKE instance (always);
      - the unshared per-node derivation of [Baseline.Naive_translate]
        against the pre-TAKE instance (DAG schemas; set semantics, so both
        sides are value-deduplicated);
@@ -60,13 +63,14 @@ type flags = {
   f_advise : bool;  (** the plan-advisor purity guard ran *)
   f_dict : bool;  (** the dictionary round-trip oracle compared the instance *)
   f_noindex : bool;  (** the index-free differential compared an index-driven root *)
+  f_derived : bool;  (** a relationship reached a derived (non-simple) child *)
   f_mutated : bool;  (** the injected mutation found something to break *)
 }
 
 let no_flags =
   { f_recursive = false; f_sharing = false; f_views = false; f_using = false; f_paths = false;
     f_naive = false; f_lw90 = false; f_mono = false; f_hash = false; f_adaptive = false;
-    f_advise = false; f_dict = false; f_noindex = false; f_mutated = false }
+    f_advise = false; f_dict = false; f_noindex = false; f_derived = false; f_mutated = false }
 
 type outcome = { o_divs : divergence list; o_flags : flags }
 
@@ -405,6 +409,16 @@ let run ?(advise = false) ?mutation ?extra_restr (sc : Gen.scenario) : outcome =
              recompute an unmutated comparison point *)
           let flags =
             { flags with
+              f_derived =
+                (let derived =
+                   List.filter_map
+                     (fun (ns : Translate.node_shape) ->
+                       if ns.Translate.ns_table = None then Some ns.Translate.ns_name else None)
+                     (Translate.node_shapes (Translate.compile_def db def))
+                 in
+                 List.exists
+                   (fun (ed : Co_schema.edge_def) -> List.mem ed.Co_schema.ed_child derived)
+                   def.Co_schema.co_edges);
               f_mutated =
                 (match mutation with Some m -> apply_mutation m sut | None -> false) }
           in
@@ -464,7 +478,11 @@ let run ?(advise = false) ?mutation ?extra_restr (sc : Gen.scenario) : outcome =
               (* strategy differential: re-run the fetch forcing each edge
                  access path; indexed, batch-hash and generic executions
                  must deliver identical instances (same comparator as the
-                 naive oracle) *)
+                 naive oracle), and so must the independent SQL route *)
+              guard "sql-route" (fun () ->
+                  match compare_caches pre (Baseline.Sql_route.fetch db def) with
+                  | Some d -> add "sql-route" d
+                  | None -> ());
               let f_hash = ref false in
               List.iter
                 (fun (label, force) ->

@@ -36,6 +36,7 @@ type flags = {
   f_advise : bool;  (** the plan-advisor purity guard ran *)
   f_dict : bool;  (** the dictionary round-trip oracle compared the instance *)
   f_noindex : bool;  (** the index-free differential compared an index-driven root *)
+  f_derived : bool;  (** a relationship reached a derived (non-simple) child *)
   f_mutated : bool;  (** the injected mutation found something to break *)
 }
 

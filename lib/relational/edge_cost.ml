@@ -41,7 +41,8 @@ type edge_shape = {
   es_strategy : strategy;  (** access path selected for this plan *)
   es_child_table : string option;  (** child's base table when the child is simple *)
   es_parent_cols : string list;  (** parent-side equality join columns (node output names) *)
-  es_child_cols : string list;  (** child-side equality join columns (base-table names) *)
+  es_child_cols : string list;
+      (** child-side equality join columns (base-table names; output names of a derived child) *)
   es_using : (string * string list) option;
       (** link table and the link-side columns the parent binds, for USING edges *)
   es_indexed : bool;  (** an index chain serves the probe as compiled *)
@@ -206,23 +207,22 @@ type edge_est = {
 
 (** [candidates es] are the strategies that can serve the edge, in
     static selection-priority order — the one servability definition the
-    planner, the adaptive re-pick and the advisor share. Hash needs a
-    simple child and key columns on both sides (a USING edge whose link
-    binds no parent column has no probe key). *)
+    planner, the adaptive re-pick and the advisor share. Hash needs
+    key columns on both sides (a USING edge whose link binds no parent
+    column has no probe key); a derived child is hashed over its
+    materialized extent. *)
 let candidates (es : edge_shape) : strategy list =
   (if es.es_indexed then [ S_indexed ] else [])
-  @ (if es.es_child_table <> None && es.es_parent_cols <> [] && es.es_child_cols <> [] then
-       [ S_hash ]
-     else [])
+  @ (if es.es_parent_cols <> [] && es.es_child_cols <> [] then [ S_hash ] else [])
   @ [ S_generic ]
 
 (** [cost_of ee ~frontier ~conns s] is the estimated row cost of serving
     the edge with [s], parameterized over the frontier/connection counts
     so the adaptive runtime check can re-cost with observed numbers.
-    Generic re-reads the child extent (and link table) into a temp and
-    joins it on every execution, so it pays at least the hash build's
-    input on top of its frontier-by-child join; a hash build pays that
-    input once per table version. *)
+    Generic keys nothing: it reads the child's rows (and the link
+    table) into one bucket, the hash build's input, and every frontier
+    row scans the whole child; a hash build pays that input once per
+    table version and a probe only its matches. *)
 let cost_of (ee : edge_est) ~frontier ~conns = function
   | S_indexed -> frontier +. Float.max conns (frontier *. Float.max 1. ee.ee_cand_fan)
   | S_hash -> ee.ee_build +. frontier +. conns

@@ -20,7 +20,8 @@ type edge_shape = {
   es_strategy : strategy;  (** access path selected for this plan *)
   es_child_table : string option;  (** child's base table when the child is simple *)
   es_parent_cols : string list;  (** parent-side equality join columns (node output names) *)
-  es_child_cols : string list;  (** child-side equality join columns (base-table names) *)
+  es_child_cols : string list;
+      (** child-side equality join columns (base-table names; output names of a derived child) *)
   es_using : (string * string list) option;
       (** link table and the link-side columns the parent binds, for USING edges *)
   es_indexed : bool;  (** an index chain serves the probe as compiled *)
@@ -81,17 +82,17 @@ type edge_est = {
 
 (** [candidates es] are the strategies that can serve the edge, in
     static selection-priority order: indexed when [es_indexed], hash when
-    the child is simple and the key has columns on both sides, generic
-    always. The planner ([compile_def] and its adaptive re-pick) and the
+    the key has columns on both sides (over a derived child's extent
+    too), generic always. The planner ([compile_def] and its adaptive re-pick) and the
     plan advisor all read servability from here. *)
 val candidates : edge_shape -> strategy list
 
 (** [cost_of ee ~frontier ~conns s] is the estimated row cost of serving
     the edge with [s]: indexed probes pay the frontier plus the larger
     of the connections produced and the candidate rows scanned; hash
-    pays its build plus frontier plus connections; generic re-reads the
-    build input on every execution and joins the frontier against the
-    whole child extent. [frontier]/[conns] are
+    pays its build plus frontier plus connections; generic reads the
+    build input into one bucket and every frontier row scans the whole
+    child extent. [frontier]/[conns] are
     parameters so the adaptive runtime check can re-cost with observed
     counts. *)
 val cost_of : edge_est -> frontier:float -> conns:float -> strategy -> float

@@ -393,8 +393,7 @@ module Row_key_tbl = Hashtbl.Make (Row_key)
 
 (** The pre-dictionary boxed key view ([Value.equal] / [Value.hash] over
     [Value.t] arrays). Kept for the layers that still work on decoded
-    values — column statistics, the naive oracles, and the E14 bench
-    baseline that measures the old boxed hot path. *)
+    values — column statistics and the naive oracles. *)
 module Row_key_boxed = struct
   type t = Value.t array
 

@@ -10,8 +10,8 @@ open Relational
 (** [populate db ~seed ~depth ~n_roots ~fanout] creates tables
     [t0..t<depth>]: [n_roots] tagged roots (plus as many untagged ones) and
     [fanout] children per parent at every level. [indexes:false] omits the
-    FK indexes, forcing the translator's generic (engine-planned) probe
-    path — used by the rewrite ablation E7. *)
+    FK indexes, so the translator probes edges through hash builds — the
+    E12 deep chain, and E7's rewrite ablation over the SQL route. *)
 let populate ?(indexes = true) db ~seed ~depth ~n_roots ~fanout =
   let rng = Rng.create seed in
   ignore (Db.exec db "CREATE TABLE t0 (k0 INTEGER PRIMARY KEY, tag INTEGER, payload INTEGER)");
@@ -91,7 +91,7 @@ let mgmt_query =
     rounds (unlike [mgmt_chain], node count grows without making the round
     count pathological, so it scales to the E12 bench sizes).
     [indexes:false] omits the manager-FK index so access-path selection
-    must fall back to batch hash or generic probes. Returns the number of
+    falls back to batch hash (or generic) probes. Returns the number of
     employees inserted. *)
 let mgmt_tree ?(indexes = true) db ~levels ~fanout =
   ignore (Db.exec db "CREATE TABLE memp (eno INTEGER PRIMARY KEY, mgrno INTEGER, payload INTEGER)");

@@ -7,8 +7,9 @@ open Relational
 (** [populate db ~seed ~depth ~n_roots ~fanout] creates tables
     [t0..t<depth>]: [n_roots] tagged roots (plus as many untagged ones) and
     [fanout] children per parent at every level, linked by foreign keys.
-    [indexes:false] omits the FK indexes, forcing the translator's generic
-    (engine-planned) probe path. *)
+    [indexes:false] omits the FK indexes, so the translator probes edges
+    through hash builds (E12) and the SQL route's joins need the rewrite
+    to become hash joins (E7). *)
 val populate : ?indexes:bool -> Db.t -> seed:int -> depth:int -> n_roots:int -> fanout:int -> unit
 
 (** [co_query ~depth] is the XNF query extracting the tagged chain CO. *)

@@ -99,6 +99,74 @@ let test_forced_strategies_agree () =
       | Some d -> Alcotest.failf "%s diverged: %s" (Xnf.Translate.strategy_name force) d)
     [ Xnf.Translate.S_indexed; Xnf.Translate.S_hash; Xnf.Translate.S_generic ]
 
+(* ---- derived children ----
+
+   A DISTINCT child has no base table: its extent is materialized once
+   per fetch and every edge into it probes that extent, identified by
+   extent index. An equi edge is served by a hash build over the extent;
+   two edges reaching the same extent rows share the child tuples. *)
+
+let mk_derived_api () =
+  let db = Db.create () in
+  List.iter
+    (fun stmt -> ignore (Db.exec db stmt))
+    [ "CREATE TABLE p (k INTEGER PRIMARY KEY, lo INTEGER)";
+      "CREATE TABLE c (k INTEGER PRIMARY KEY, pf INTEGER, g INTEGER)";
+      "INSERT INTO p VALUES (1, 5), (2, 6), (3, 9)";
+      "INSERT INTO c VALUES (1, 1, 5), (2, 1, 5), (3, 2, 5), (4, 2, 7), (5, 4, 6), (6, NULL, 9)" ];
+  Xnf.Api.create db
+
+let q_derived =
+  "OUT OF Xp AS P, Xd AS (SELECT DISTINCT pf, g FROM c), \
+   e1 AS (RELATE Xp, Xd WHERE Xp.k = Xd.pf), \
+   e2 AS (RELATE Xp, Xd WHERE Xp.lo = Xd.g) TAKE *"
+
+let test_derived_child_hash () =
+  let api = mk_derived_api () in
+  let db = Xnf.Api.db api in
+  let def, _ = compose api q_derived in
+  let cp = Xnf.Translate.compile_def db def in
+  List.iter
+    (fun (es : Xnf.Translate.edge_shape) ->
+      let name = es.Xnf.Translate.es_name in
+      Alcotest.(check (list strat)) (name ^ " candidates")
+        [ Xnf.Translate.S_hash; Xnf.Translate.S_generic ] (Edge_cost.candidates es);
+      Alcotest.(check strat) (name ^ " picked") Xnf.Translate.S_hash
+        (List.assoc name (Xnf.Translate.edge_strategies cp)))
+    (Xnf.Translate.edge_shapes cp);
+  let reference = Baseline.Sql_route.fetch db def in
+  mark ();
+  let got = Xnf.Translate.execute_def db cp [] in
+  Alcotest.(check int) "one hash build per edge, over the extent" 2 (tr "hash_builds");
+  (* (1,5) (2,5) (2,7) (4,6) (NULL,9): e1 reaches the first three, e2
+     reaches (1,5) (2,5) (4,6) and (NULL,9); one tuple per extent row *)
+  Alcotest.(check int) "child tuples deduplicated by extent index" 5 (node_count got "xd");
+  Alcotest.(check int) "e1 connections" 3 (conn_count got "e1");
+  Alcotest.(check int) "e2 connections" 4 (conn_count got "e2");
+  List.iter
+    (fun (label, cache) ->
+      match Fuzz.Oracle.compare_caches reference cache with
+      | None -> ()
+      | Some d -> Alcotest.failf "%s diverged from the SQL route: %s" label d)
+    [ ("cost-free pick", got);
+      ( "forced generic",
+        Xnf.Translate.execute_def db (Xnf.Translate.compile_def ~force:Xnf.Translate.S_generic db def) [] )
+    ]
+
+(* a USING table that does not exist is a coded error for a derived
+   child too: the key analysis runs for every child at compile time, so
+   the error does not wait for a frontier (the root here is empty) *)
+let test_derived_using_missing_link () =
+  let api = mk_derived_api () in
+  match
+    Xnf.Api.fetch_string api
+      "OUT OF Xp AS (SELECT * FROM p WHERE k < 0), Xd AS (SELECT DISTINCT pf, g FROM c), \
+       e AS (RELATE Xp, Xd USING nosuch L WHERE Xp.k = L.a AND L.b = Xd.pf) TAKE *"
+  with
+  | exception Xnf.Translate.Translate_error msg ->
+    Alcotest.(check bool) ("coded: " ^ msg) true (contains msg "[XNF005]")
+  | _ -> Alcotest.fail "expected a Translate_error"
+
 (* ---- fused one-pass execution: exact counters ---- *)
 
 (* unindexed chain of depth 2: 1 roots query + 2 builds + 2 batch probe
@@ -382,6 +450,8 @@ let suite =
   [ Alcotest.test_case "strategy selection matrix" `Quick test_selection_matrix;
     Alcotest.test_case "forcing and generic fallback" `Quick test_forcing_and_fallback;
     Alcotest.test_case "forced strategies agree" `Quick test_forced_strategies_agree;
+    Alcotest.test_case "derived child served by hash-batch" `Quick test_derived_child_hash;
+    Alcotest.test_case "derived child USING a missing table" `Quick test_derived_using_missing_link;
     Alcotest.test_case "one-pass chain counters (hash)" `Quick test_one_pass_chain_counters;
     Alcotest.test_case "one-pass chain counters (indexed)" `Quick test_one_pass_indexed_counters;
     Alcotest.test_case "recursive tree counters" `Quick test_recursive_tree_counters;

@@ -158,7 +158,7 @@ let test_adaptive_switch_fires () =
   Alcotest.(check strat) "effective strategy reflects the switch" Xnf.Translate.S_hash
     (List.assoc "e0" (Xnf.Translate.effective_strategies cp));
   (* the switched execution still delivers the correct instance *)
-  let oracle = Xnf.Translate.execute_def db (Xnf.Translate.compile_def ~force:Xnf.Translate.S_generic db def) restrs in
+  let oracle = Baseline.Sql_route.fetch db def in
   (match Fuzz.Oracle.compare_caches oracle cache with
   | None -> ()
   | Some d -> Alcotest.failf "switched instance diverged: %s" d)
@@ -194,7 +194,7 @@ let test_switch_reused_next_execution () =
     (List.length (Xnf.Translate.switches cp));
   Alcotest.(check strat) "hash still effective" Xnf.Translate.S_hash
     (List.assoc "e0" (Xnf.Translate.effective_strategies cp));
-  let oracle = Xnf.Translate.execute_def db (Xnf.Translate.compile_def ~force:Xnf.Translate.S_generic db def) restrs in
+  let oracle = Baseline.Sql_route.fetch db def in
   (match Fuzz.Oracle.compare_caches oracle cache with
   | None -> ()
   | Some d -> Alcotest.failf "warm switched instance diverged: %s" d)
@@ -246,7 +246,8 @@ let test_point_root_adaptive_keeps_hash () =
    back to generic. Over every edge of the convergence corpus, plus a
    USING edge whose link binds no parent column (hash has no probe key
    there), the strategies a forced compile keeps must be exactly the
-   candidates, and every forced plan must deliver the generic instance. *)
+   candidates, and every forced plan must deliver the instance of the
+   SQL route ([Baseline.Sql_route], before SUCH THAT restrictions). *)
 
 let all_strategies = Xnf.Translate.[ S_indexed; S_hash; S_generic ]
 
@@ -268,7 +269,7 @@ let load_group path =
   (db, api, List.filter is_query lines)
 
 let check_servability db api q =
-  let def, restrs = compose api q in
+  let def, _ = compose api q in
   let forced = List.map (fun s -> (s, Xnf.Translate.compile_def ~force:s db def)) all_strategies in
   List.iter
     (fun (es : Xnf.Translate.edge_shape) ->
@@ -280,10 +281,10 @@ let check_servability db api q =
       in
       Alcotest.(check (list strat)) (q ^ " / " ^ name) (Edge_cost.candidates es) kept)
     (Xnf.Translate.edge_shapes (Xnf.Translate.compile_def db def));
-  let generic = Xnf.Translate.execute_def db (List.assoc Xnf.Translate.S_generic forced) restrs in
+  let reference = Baseline.Sql_route.fetch db def in
   List.iter
     (fun (s, cp) ->
-      match Fuzz.Oracle.compare_caches generic (Xnf.Translate.execute_def db cp restrs) with
+      match Fuzz.Oracle.compare_caches reference (Xnf.Translate.execute_def db cp []) with
       | None -> ()
       | Some d -> Alcotest.failf "%s forced %s diverged: %s" q (Xnf.Translate.strategy_name s) d)
     forced

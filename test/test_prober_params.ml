@@ -5,8 +5,8 @@
    over both key shapes (FK and USING), plus a recursive 3-edge CO. Each
    case runs under forced indexed, forced hash, the unforced pick and the
    naive fixpoint, with two different parameter bindings, and must load
-   the instance forced generic loads with the same binding. The generic
-   path re-binds the substituted AST per fetch, so a prober that skips
+   the instance [Baseline.Sql_route] loads with the same binding. The
+   SQL route binds the substituted AST per fetch, so a prober that skips
    the slot substitution anywhere diverges or raises here. *)
 
 open Relational
@@ -101,15 +101,15 @@ let run_case c () =
   let api = mk_api () in
   let db = Xnf.Api.db api in
   let def, restrs = compose api c.query in
-  let generic = Xnf.Translate.compile_def ~force:Xnf.Translate.S_generic db def in
   let runs =
     [ ("forced indexed", Some Xnf.Translate.S_indexed, Xnf.Translate.Semi_naive);
       ("forced hash", Some Xnf.Translate.S_hash, Xnf.Translate.Semi_naive);
+      ("forced generic", Some Xnf.Translate.S_generic, Xnf.Translate.Semi_naive);
       ("unforced", None, Xnf.Translate.Semi_naive);
       ("naive", None, Xnf.Translate.Naive) ]
   in
   let references =
-    List.map (fun params -> Xnf.Translate.execute_def ~params db generic restrs) (bindings c.nparams)
+    List.map (fun params -> Baseline.Sql_route.fetch ~params db def) (bindings c.nparams)
   in
   (* the fixture must reach every edge, and the bindings must matter *)
   List.iter
@@ -126,7 +126,7 @@ let run_case c () =
         (fun (label, force, fixpoint) ->
           let cp = Xnf.Translate.compile_def ?force db def in
           (* the forced strategy must really serve every edge, or the
-             case would only re-test the generic path *)
+             case would only re-test a fallback *)
           Option.iter
             (fun f ->
               List.iter
@@ -139,7 +139,7 @@ let run_case c () =
           let got = Xnf.Translate.execute_def ~fixpoint ~params db cp restrs in
           match Fuzz.Oracle.compare_caches reference got with
           | None -> ()
-          | Some d -> Alcotest.failf "%s diverged from generic: %s" label d)
+          | Some d -> Alcotest.failf "%s diverged from the SQL route: %s" label d)
         runs)
     (bindings c.nparams) references
 

@@ -45,16 +45,26 @@ let node_keys cache node =
   |> List.map (fun t -> Value.as_int (Xnf.Cache.col t 0))
   |> List.sort compare
 
-(* the translator must compute the same CO through indexed probes and
-   through generic engine-planned probes *)
+(* the translator must compute the same CO through indexed probes, through
+   hash-batch probes (no indexes) and as the SQL route's engine-planned
+   joins *)
 let prop_indexed_equals_generic =
   QCheck.Test.make ~name:"indexed and generic probe paths agree" ~count:40 arb_seed (fun seed ->
       let with_idx = Xnf.Api.fetch_string (Xnf.Api.create (build ~indexes:true seed)) co_query in
-      let without = Xnf.Api.fetch_string (Xnf.Api.create (build ~indexes:false seed)) co_query in
+      let db = build ~indexes:false seed in
+      let api = Xnf.Api.create db in
+      let without = Xnf.Api.fetch_string api co_query in
+      let def, _, _ =
+        Xnf.View_registry.compose (Xnf.Api.registry api) (Xnf.Xnf_parser.parse_query co_query)
+      in
+      let sql_route = Baseline.Sql_route.fetch db def in
       List.for_all
-        (fun node -> node_keys with_idx node = node_keys without node)
+        (fun node ->
+          node_keys with_idx node = node_keys without node
+          && node_keys with_idx node = node_keys sql_route node)
         [ "xp"; "xc"; "xg" ]
-      && Xnf.Cache.total_conns with_idx = Xnf.Cache.total_conns without)
+      && Xnf.Cache.total_conns with_idx = Xnf.Cache.total_conns without
+      && Xnf.Cache.total_conns with_idx = Xnf.Cache.total_conns sql_route)
 
 (* rewrite on/off agree on random select-join-aggregate queries *)
 let queries =
