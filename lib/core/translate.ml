@@ -26,9 +26,9 @@
        residual -> attributes, skipped entirely on the allocation-free
        fast path). Indexed keys an FK edge by one indexed pair and leaves
        the others to the residual; hash keys it by all pairs; generic
-       keys it by nothing — its empty key puts every candidate in one
-       bucket, so each probe scans the child's rows and every conjunct is
-       residual;
+       keys nothing by the parent — each probe scans the child's rows (a
+       USING edge: the link table, each link row keyed on to its
+       children) and the parent's key conjuncts are residual;
      - non-root extents are therefore *lazy*: only reached tuples are ever
        materialized, which is what makes working-set extraction at 10^-4
        selectivity set-oriented AND cheap (E3);
@@ -38,7 +38,8 @@
    [execute_def] is a short driver over [roots], [fixpoint] (with the
    adaptive mid-fixpoint check), [connections] and [restrictions], which
    share one per-fetch runtime record. Only a derived (non-simple) node's
-   derivation runs through the relational engine, once per fetch; the
+   derivation runs through the relational engine, once per fetch and
+   only once a root evaluation or a probe needs it; the
    paper's rewrite of each relationship into a relational join survives
    as the [Baseline.Sql_route] reference. *)
 
@@ -63,6 +64,7 @@ let strategy_name = Edge_cost.strategy_name
 let m_queries = Obs.Metrics.counter "xnf.translate.queries"
 let m_rounds = Obs.Metrics.counter "xnf.translate.rounds"
 let m_tuples_probed = Obs.Metrics.counter "xnf.translate.tuples_probed"
+let m_candidates_scanned = Obs.Metrics.counter "xnf.translate.candidates_scanned"
 let m_indexed_probes = Obs.Metrics.counter "xnf.translate.indexed_probes"
 let m_generic_probes = Obs.Metrics.counter "xnf.translate.generic_probes"
 let m_hash_edges = Obs.Metrics.counter "xnf.translate.hash_edges"
@@ -268,7 +270,8 @@ type join_key =
       (** (parent column, child column, source conjunct), predicate order *)
   | Using of {
       link : Table.t;
-      parent_bind : (int * int) list;  (** (link column, parent column) *)
+      parent_bind : (int * int * Sql_ast.expr) list;
+          (** (link column, parent column, source conjunct), predicate order *)
       child_bind : (int * int) list;  (** (link column, child column) *)
     }
 
@@ -357,7 +360,7 @@ let analyze_keys db (ed : Co_schema.edge_def) ~(parent_schema : Schema.t) ~(chil
         fk := (p, ch, c) :: !fk
       | Some (`Link l), Some (`Parent p) | Some (`Parent p), Some (`Link l) ->
         key c;
-        parent_bind := (l, p) :: !parent_bind
+        parent_bind := (l, p, c) :: !parent_bind
       | Some (`Link l), Some (`Child ch) | Some (`Child ch), Some (`Link l) ->
         key c;
         child_bind := (l, ch) :: !child_bind
@@ -579,8 +582,8 @@ let rec build_hits scanned (f : hits) = function
     build_hits scanned f rest
 
 (* open a source for one execution, keyed by the probing row's [cols]: a
-   build is (re)built or reused here, [extent] supplies a derived
-   child's rows; a stored index filters candidates with [ok] on their
+   base-table build is (re)built or reused here, [extent] supplies a
+   derived child's rows on the first probe; a stored index filters candidates with [ok] on their
    boxed rows before encoding them (a build folds its parameter-free
    predicate in instead) *)
 let open_source scanned ~ok ~extent ((cols, kind) : lookup) : source =
@@ -598,10 +601,14 @@ let open_source scanned ~ok ~extent ((cols, kind) : lookup) : source =
     let find = mk_hash_probe (ensure_build hs) cols in
     fun row f -> build_hits scanned f (find row)
   | Extent key_cols ->
-    let x = extent () in
-    let tbl = hash_table (max 64 (Array.length x)) key_cols (fun add -> Array.iteri add x) in
-    let find = mk_hash_probe tbl cols in
-    fun row f -> build_hits scanned f (find row)
+    (* materialized on the first probe: an edge no parent reaches costs
+       no derived-extent query and no build *)
+    let find =
+      lazy
+        (let x = extent () in
+         mk_hash_probe (hash_table (max 64 (Array.length x)) key_cols (fun add -> Array.iteri add x)) cols)
+    in
+    fun row f -> build_hits scanned f (Lazy.force find row)
 
 (* ---- key chains ----
 
@@ -626,7 +633,8 @@ let lookups (keys : edge_keys) fk_pairs =
   match keys.ek_key with
   | Fk _ -> (None, (cols (fun (p, _, _) -> p) fk_pairs, cols (fun (_, ch, _) -> ch) fk_pairs))
   | Using { link; parent_bind; child_bind } ->
-    (Some (cols snd parent_bind, link, cols fst parent_bind), (cols fst child_bind, cols snd child_bind))
+    ( Some (cols (fun (_, p, _) -> p) parent_bind, link, cols (fun (l, _, _) -> l) parent_bind),
+      (cols fst child_bind, cols snd child_bind) )
 
 let indexed_chain (keys : edge_keys) ~(child : simple) : key_chain option =
   let indexed (probe_cols, tbl, key_cols) =
@@ -651,9 +659,12 @@ let indexed_chain (keys : edge_keys) ~(child : simple) : key_chain option =
 
 (* the hash chain ([keyed]) and the generic chain (not): every lookup
    resolves through a build over a base table, or over a derived child's
-   extent ([child] = None). The generic chain's empty key makes each
-   build one bucket — the link table, the child's qualifying rows — that
-   every probe scans. *)
+   extent ([child] = None). The generic chain keys nothing by the parent:
+   on an FK edge the child build is one bucket of the child's qualifying
+   rows that every probe scans; on a USING edge the link build is one
+   bucket and each link row reaches its children through the hash
+   chain's link-to-child lookup, so a probe scans the link table plus
+   its matches, not link x child. *)
 let build_chain ~source ~keyed (keys : edge_keys) ~(child : simple option) : key_chain =
   (* a parameter-free child predicate filters at BUILD time, so probes
      skip per-candidate predicate evaluation (and the decode it needs);
@@ -669,12 +680,15 @@ let build_chain ~source ~keyed (keys : edge_keys) ~(child : simple option) : key
   let link, (probe_cols, key_cols) =
     lookups keys (match keys.ek_key with Fk pairs -> pairs | Using _ -> [])
   in
-  if keyed then
+  match keys.ek_key with
+  | _ when keyed ->
     { kc_link = Option.map (fun (pc, tbl, kc) -> (pc, Build (source tbl kc None))) link;
       kc_child = (probe_cols, child_src key_cols); kc_residual = [] }
-  else
+  | Fk _ -> { kc_link = None; kc_child = ([||], child_src [||]); kc_residual = keys.ek_key_conj }
+  | Using { parent_bind; _ } ->
     { kc_link = Option.map (fun (_, tbl, _) -> ([||], Build (source tbl [||] None))) link;
-      kc_child = ([||], child_src [||]); kc_residual = keys.ek_key_conj }
+      kc_child = (probe_cols, child_src key_cols);
+      kc_residual = List.map (fun (_, _, c) -> c) parent_bind }
 
 (* [Row.decode] remembering its last argument: the hits of one frontier
    row share one decoded parent (and link) row *)
@@ -809,10 +823,10 @@ let edge_shape_of (ed : Co_schema.edge_def) ~(parent_schema : Schema.t) ~child_t
       es_child_cols = List.map (fun (_, ch, _) -> col_name child_schema ch) pairs }
   | Using { link; parent_bind; child_bind } ->
     { base with
-      es_parent_cols = List.map (fun (_, p) -> col_name parent_schema p) parent_bind;
+      es_parent_cols = List.map (fun (_, p, _) -> col_name parent_schema p) parent_bind;
       es_child_cols = List.map (fun (_, ch) -> col_name child_schema ch) child_bind;
       es_using =
-        Some (Table.name link, List.map (fun (l, _) -> col_name (Table.schema link) l) parent_bind) }
+        Some (Table.name link, List.map (fun (l, _, _) -> col_name (Table.schema link) l) parent_bind) }
 
 (* base tables a SELECT depends on (for staleness tracking) *)
 let rec tables_of_select catalog (q : Sql_ast.select) : string list =
@@ -1180,8 +1194,8 @@ type run = {
 }
 
 (* strategy [s]'s prober for an edge, binding the parameter slots and
-   the child's extent; batch edges (re)build or reuse their hash tables
-   here, once per fetch *)
+   the child's extent; base-table builds are (re)built or reused here,
+   once per fetch, a derived child's on the edge's first probe *)
 let instate db params (cands : edge_candidates) child s =
   let bp =
     match s, cands with
@@ -1359,7 +1373,7 @@ let adaptive_check run round =
                (match er.er_serving with
                | S_indexed -> ee.Edge_cost.ee_cand_fan
                | S_hash -> ee.Edge_cost.ee_fanout
-               | S_generic -> ee.Edge_cost.ee_child)
+               | S_generic -> Edge_cost.generic_scan ee)
         in
         let exceeds obs est = obs >= fmin && obs > factor *. Float.max 1. est in
         if
@@ -1374,16 +1388,13 @@ let adaptive_check run round =
             | Some t -> live_card t
             | None -> float_of_int (Array.length (ensure_extent run.ru_db er.er_child))
           in
-          let live_build =
-            match shape.es_using with
-            | Some (l, _) -> live_child +. live_card l
-            | None -> live_child
-          in
+          let live_link = Option.map (fun (l, _) -> live_card l) shape.es_using in
           (* an indexed edge's observed scan replaces the
              candidate-fanout estimate *)
           let observed =
             { ee with
-              Edge_cost.ee_frontier = f; ee_conns = c; ee_child = live_child; ee_build = live_build;
+              Edge_cost.ee_frontier = f; ee_conns = c; ee_child = live_child;
+              ee_build = live_child +. Option.value ~default:0. live_link; ee_link = live_link;
               ee_cand_fan =
                 (if er.er_serving = S_indexed then scan /. Float.max 1. f
                  else ee.Edge_cost.ee_cand_fan) }
@@ -1431,9 +1442,10 @@ let fixpoint run mode =
           er.er_probed <- er.er_probed + n_probes;
           (* rounds interleave the edges, so each edge's probe time is
              accumulated here and reported on its connections span *)
-          let t0 = Obs.Metrics.now_ns () in
+          let t0 = Obs.Metrics.now_ns () and s0 = !(er.er_bp.bp_scanned) in
           if er.er_serving = S_hash then Obs.Metrics.incr m_hash_probes;
           if probe_batch er er.er_probe then changed := true;
+          Obs.Metrics.incr ~by:(!(er.er_bp.bp_scanned) - s0) m_candidates_scanned;
           er.er_probe_ns <- er.er_probe_ns +. (Obs.Metrics.now_ns () -. t0)
         end)
       run.ru_edges;

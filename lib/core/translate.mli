@@ -14,10 +14,12 @@
       patterns run as index-nested-loop probes, other keyed edges as batch
       hash probes against builds (version-cached over a base table, per
       fetch over a derived child's extent), and everything else as a
-      generic scan of the child's rows with every conjunct residual — one
-      prober, a key chain over a candidate source, for all three;
+      generic scan of the child's rows (of the link table, on a USING
+      edge) with the parent's key conjuncts residual — one prober, a key
+      chain over a candidate source, for all three;
     - a derived (non-simple) node's derivation runs through the relational
-      engine once per fetch; its tuples are identified by extent index;
+      engine once per fetch, and only when a root evaluation or a probe
+      first needs it; its tuples are identified by extent index;
     - non-root extents are lazy: only reached tuples materialize;
     - connection extents are produced by the reachability probes
       themselves (the naive variant keeps its last round's);
@@ -46,6 +48,8 @@ val strategy_name : strategy -> string
     (relational passes: root evaluations, derived extents, hash builds
     and probe batches), [rounds],
     [tuples_probed] (frontier sizes fed to edge probes),
+    [candidates_scanned] (candidate rows the probes' sources handed out,
+    before residual filtering),
     [indexed_probes] / [hash_edges] / [generic_probes] (edges compiled
     onto each access path), [hash_builds], [hash_build_reuses],
     [hash_probes], [cost_picks] and [strategy_switches]. Readers take

@@ -203,6 +203,7 @@ type edge_est = {
   ee_conns : float;  (** est. connections produced ([frontier * fanout]) *)
   ee_build : float;  (** est. hash build input (child + link extents) *)
   ee_cand_fan : float;  (** est. candidate rows scanned per index probe *)
+  ee_link : float option;  (** est. link table rows, on a USING edge *)
 }
 
 (** [candidates es] are the strategies that can serve the edge, in
@@ -216,17 +217,24 @@ let candidates (es : edge_shape) : strategy list =
   @ (if es.es_parent_cols <> [] && es.es_child_cols <> [] then [ S_hash ] else [])
   @ [ S_generic ]
 
+(* Generic keys nothing on the parent side: every frontier row scans the
+   whole child (FK edge) or the whole link table, whose rows reach their
+   children through the link-to-child key (USING edge). A USING edge with
+   no link-to-child equality scans link x child per probe; the estimate
+   does not model that shape. *)
+let generic_scan (ee : edge_est) =
+  match ee.ee_link with None -> ee.ee_child | Some link -> link +. ee.ee_fanout
+
 (** [cost_of ee ~frontier ~conns s] is the estimated row cost of serving
     the edge with [s], parameterized over the frontier/connection counts
     so the adaptive runtime check can re-cost with observed numbers.
-    Generic keys nothing: it reads the child's rows (and the link
-    table) into one bucket, the hash build's input, and every frontier
-    row scans the whole child; a hash build pays that input once per
+    Generic reads the hash build's input and every frontier row scans
+    [generic_scan] candidates; a hash build pays that input once per
     table version and a probe only its matches. *)
 let cost_of (ee : edge_est) ~frontier ~conns = function
   | S_indexed -> frontier +. Float.max conns (frontier *. Float.max 1. ee.ee_cand_fan)
   | S_hash -> ee.ee_build +. frontier +. conns
-  | S_generic -> ee.ee_build +. (frontier *. Float.max 1. ee.ee_child)
+  | S_generic -> ee.ee_build +. (frontier *. Float.max 1. (generic_scan ee))
 
 (** [best ee ~candidates ~frontier ~conns] is the cheapest candidate and
     its cost. Ties keep the earlier candidate, i.e. the static
@@ -315,12 +323,10 @@ let annotate ctx ~(nodes : node_shape list) ~(shapes : edge_shape list) :
         let frontier = reached_of es.es_parent in
         let child = der_of es.es_child in
         let fanout = fanout_est ctx es ~child_est:child in
-        let build =
-          match es.es_using with Some (link, _) -> child +. rows_est ctx link | None -> child
-        in
+        let link = Option.map (fun (link, _) -> rows_est ctx link) es.es_using in
         { ee_edge = es.es_name; ee_frontier = frontier; ee_child = child; ee_fanout = fanout;
-          ee_conns = frontier *. fanout; ee_build = build;
-          ee_cand_fan = cand_fanout ctx es ~fanout })
+          ee_conns = frontier *. fanout; ee_build = child +. Option.value ~default:0. link;
+          ee_cand_fan = cand_fanout ctx es ~fanout; ee_link = link })
       shapes
   in
   (node_ests, edge_ests)

@@ -78,7 +78,14 @@ type edge_est = {
   ee_conns : float;  (** est. connections produced ([frontier * fanout]) *)
   ee_build : float;  (** est. hash build input (child + link extents) *)
   ee_cand_fan : float;  (** est. candidate rows scanned per index probe *)
+  ee_link : float option;  (** est. link table rows, on a USING edge *)
 }
+
+(** [generic_scan ee] is the estimated candidate rows one generic probe
+    scans: the whole child extent on an FK edge; on a USING edge the
+    whole link table, each link row then reaching its children through
+    the link-to-child key ([link + fanout]). *)
+val generic_scan : edge_est -> float
 
 (** [candidates es] are the strategies that can serve the edge, in
     static selection-priority order: indexed when [es_indexed], hash when
@@ -91,8 +98,8 @@ val candidates : edge_shape -> strategy list
     the edge with [s]: indexed probes pay the frontier plus the larger
     of the connections produced and the candidate rows scanned; hash
     pays its build plus frontier plus connections; generic reads the
-    build input into one bucket and every frontier row scans the whole
-    child extent. [frontier]/[conns] are
+    build input and every frontier row scans {!generic_scan} candidate
+    rows. [frontier]/[conns] are
     parameters so the adaptive runtime check can re-cost with observed
     counts. *)
 val cost_of : edge_est -> frontier:float -> conns:float -> strategy -> float

@@ -167,6 +167,55 @@ let test_derived_using_missing_link () =
     Alcotest.(check bool) ("coded: " ^ msg) true (contains msg "[XNF005]")
   | _ -> Alcotest.fail "expected a Translate_error"
 
+(* a derived child no parent reaches is never materialized: the empty
+   root leaves the edge unprobed, so the fetch runs the root query only —
+   no derived-extent query, no build over it *)
+let test_derived_unreached_lazy () =
+  let api = mk_derived_api () in
+  mark ();
+  let got =
+    Xnf.Api.fetch_string api
+      "OUT OF Xp AS (SELECT * FROM p WHERE k < 0), Xd AS (SELECT DISTINCT pf, g FROM c), \
+       e1 AS (RELATE Xp, Xd WHERE Xp.k = Xd.pf) TAKE *"
+  in
+  Alcotest.(check int) "no child reached" 0 (node_count got "xd");
+  Alcotest.(check int) "the root query only" 1 (tr "queries");
+  Alcotest.(check int) "no build over the extent" 0 (tr "hash_builds")
+
+(* a USING edge whose link binds no parent column has no hash probe key,
+   so generic serves it: each frontier row scans the link table once and
+   each link row reaches its child through the link-to-child key —
+   frontier x (link + matches) candidates, not frontier x link x child *)
+let test_generic_using_scan () =
+  let db = Db.create () in
+  List.iter
+    (fun stmt -> ignore (Db.exec db stmt))
+    [ "CREATE TABLE sp (k INTEGER PRIMARY KEY, f INTEGER)";
+      "CREATE TABLE sc (k INTEGER PRIMARY KEY, g INTEGER)";
+      "CREATE TABLE slink (pk INTEGER, ck INTEGER)";
+      "INSERT INTO sp VALUES " ^ String.concat ", " (List.init 10 (Printf.sprintf "(%d, 0)"));
+      "INSERT INTO sc VALUES " ^ String.concat ", " (List.init 100 (Printf.sprintf "(%d, 0)"));
+      "INSERT INTO slink VALUES "
+      ^ String.concat ", " (List.init 100 (fun k -> Printf.sprintf "(%d, %d)" (k mod 10) k)) ];
+  let api = Xnf.Api.create db in
+  let def, _ =
+    compose api
+      "OUT OF p0 AS (SELECT * FROM sp), c0 AS (SELECT * FROM sc), \
+       e0 AS (RELATE p0, c0 USING slink l WHERE (p0.k + 0 = l.pk AND l.ck = c0.k)) TAKE *"
+  in
+  let cp = Xnf.Translate.compile_def db def in
+  Alcotest.(check strat) "generic is the only candidate" Xnf.Translate.S_generic
+    (List.assoc "e0" (Xnf.Translate.edge_strategies cp));
+  mark ();
+  let got = Xnf.Translate.execute_def db cp [] in
+  Alcotest.(check int) "frontier" 10 (tr "tuples_probed");
+  Alcotest.(check int) "10 probes x (100 link rows + 100 child matches)" 2000
+    (tr "candidates_scanned");
+  Alcotest.(check int) "connections" 100 (conn_count got "e0");
+  match Fuzz.Oracle.compare_caches (Baseline.Sql_route.fetch db def) got with
+  | None -> ()
+  | Some d -> Alcotest.failf "diverged from the SQL route: %s" d
+
 (* ---- fused one-pass execution: exact counters ---- *)
 
 (* unindexed chain of depth 2: 1 roots query + 2 builds + 2 batch probe
@@ -452,6 +501,9 @@ let suite =
     Alcotest.test_case "forced strategies agree" `Quick test_forced_strategies_agree;
     Alcotest.test_case "derived child served by hash-batch" `Quick test_derived_child_hash;
     Alcotest.test_case "derived child USING a missing table" `Quick test_derived_using_missing_link;
+    Alcotest.test_case "unreached derived child not materialized" `Quick
+      test_derived_unreached_lazy;
+    Alcotest.test_case "generic USING scans link + matches" `Quick test_generic_using_scan;
     Alcotest.test_case "one-pass chain counters (hash)" `Quick test_one_pass_chain_counters;
     Alcotest.test_case "one-pass chain counters (indexed)" `Quick test_one_pass_indexed_counters;
     Alcotest.test_case "recursive tree counters" `Quick test_recursive_tree_counters;

@@ -247,7 +247,8 @@ let test_point_root_adaptive_keeps_hash () =
    USING edge whose link binds no parent column (hash has no probe key
    there), the strategies a forced compile keeps must be exactly the
    candidates, and every forced plan must deliver the instance of the
-   SQL route ([Baseline.Sql_route], before SUCH THAT restrictions). *)
+   SQL route ([Baseline.Sql_route], before SUCH THAT restrictions) and,
+   with the query's restrictions applied, the unforced plan's instance. *)
 
 let all_strategies = Xnf.Translate.[ S_indexed; S_hash; S_generic ]
 
@@ -269,7 +270,7 @@ let load_group path =
   (db, api, List.filter is_query lines)
 
 let check_servability db api q =
-  let def, _ = compose api q in
+  let def, restrs = compose api q in
   let forced = List.map (fun s -> (s, Xnf.Translate.compile_def ~force:s db def)) all_strategies in
   List.iter
     (fun (es : Xnf.Translate.edge_shape) ->
@@ -282,12 +283,18 @@ let check_servability db api q =
       Alcotest.(check (list strat)) (q ^ " / " ^ name) (Edge_cost.candidates es) kept)
     (Xnf.Translate.edge_shapes (Xnf.Translate.compile_def db def));
   let reference = Baseline.Sql_route.fetch db def in
+  let restricted = Xnf.Translate.execute_def db (Xnf.Translate.compile_def db def) restrs in
   List.iter
     (fun (s, cp) ->
-      match Fuzz.Oracle.compare_caches reference (Xnf.Translate.execute_def db cp []) with
+      let name = Xnf.Translate.strategy_name s in
+      (match Fuzz.Oracle.compare_caches reference (Xnf.Translate.execute_def db cp []) with
       | None -> ()
-      | Some d -> Alcotest.failf "%s forced %s diverged: %s" q (Xnf.Translate.strategy_name s) d)
-    forced
+      | Some d -> Alcotest.failf "%s forced %s diverged: %s" q name d);
+      match Fuzz.Oracle.compare_caches restricted (Xnf.Translate.execute_def db cp restrs) with
+      | None -> ()
+      | Some d -> Alcotest.failf "%s forced %s under SUCH THAT diverged: %s" q name d)
+    forced;
+  List.length restrs
 
 (* the test runs in the build tree's test directory (dune copies the
    corpus there); [dune exec] runs it from the project root *)
@@ -301,15 +308,20 @@ let test_servability_agrees () =
     |> List.sort compare
   in
   Alcotest.(check bool) "convergence corpus visible" true (groups <> []);
-  List.iter
-    (fun f ->
-      let db, api, forms = load_group (Filename.concat converge_dir f) in
-      List.iter (check_servability db api) forms)
-    groups;
+  let restrs =
+    List.fold_left
+      (fun n f ->
+        let db, api, forms = load_group (Filename.concat converge_dir f) in
+        List.fold_left (fun n q -> n + check_servability db api q) n forms)
+      0 groups
+  in
+  (* g2_unique, g3_path and g5_pathedge carry SUCH THAT restrictions *)
+  Alcotest.(check bool) "restrictions ran under every forced plan" true (restrs > 0);
   let db, api, _ = load_group (Filename.concat converge_dir "g6_using.xnf") in
-  check_servability db api
-    "OUT OF p0 AS (SELECT * FROM sp), c0 AS (SELECT * FROM sc), \
-     e0 AS (RELATE p0, c0 USING slink l WHERE (p0.k + 0 = l.pk AND l.ck = c0.k)) TAKE *"
+  ignore
+    (check_servability db api
+       "OUT OF p0 AS (SELECT * FROM sp), c0 AS (SELECT * FROM sc), \
+        e0 AS (RELATE p0, c0 USING slink l WHERE (p0.k + 0 = l.pk AND l.ck = c0.k)) TAKE *")
 
 (* ---- advisor consistency with the shared estimator ---- *)
 
