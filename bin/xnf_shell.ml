@@ -241,17 +241,35 @@ let handle_meta api current line =
   end
   else Fmt.pr "unknown command %s@." line
 
+(* one handler for every statement and meta command: an error is
+   reported and the shell reads on *)
+let report_errors f =
+  try f () with
+  | Sql_lexer.Parse_error msg -> Fmt.pr "parse error: %s@." msg
+  | Binder.Bind_error msg -> Fmt.pr "semantic error: %s@." msg
+  | Db.Exec_error msg -> Fmt.pr "execution error: %s@." msg
+  | Xnf.Co_schema.Schema_error msg -> Fmt.pr "CO schema error: %s@." msg
+  | Xnf.View_registry.View_error msg -> Fmt.pr "view error: %s@." msg
+  | Xnf.Translate.Translate_error msg -> Fmt.pr "translation error: %s@." msg
+  | Xnf.Path.Path_error msg -> Fmt.pr "path error: %s@." msg
+  | Xnf.Cache.Cache_error msg -> Fmt.pr "cache error: %s@." msg
+  | Xnf.Api.Api_error msg -> Fmt.pr "error: %s@." msg
+  | Txn.Txn_error msg -> Fmt.pr "transaction error: %s@." msg
+  | Catalog.Unknown_table t -> Fmt.pr "unknown table: %s@." t
+  | Catalog.Duplicate_name n -> Fmt.pr "duplicate name: %s@." n
+  | Csv_io.Csv_error msg -> Fmt.pr "csv error: %s@." msg
+  | Sys_error msg -> Fmt.pr "i/o error: %s@." msg
+  | Check.Pipeline.Invariant_violation ds ->
+    Fmt.pr "internal invariant violation:@.%a" Diag.pp_list ds
+
 let run_line api current line =
   let line = String.trim line in
+  report_errors @@ fun () ->
   if line = "" then ()
   else if line.[0] = '\\' then handle_meta api current line
   else if String.length line > 16 && String.lowercase_ascii (String.sub line 0 16) = "explain analyze " then begin
     let body = String.trim (String.sub line 16 (String.length line - 16)) in
-    try Fmt.pr "%s@." (Xnf.Api.explain_analyze api body) with
-    | Sql_lexer.Parse_error msg -> Fmt.pr "parse error: %s@." msg
-    | Binder.Bind_error msg -> Fmt.pr "semantic error: %s@." msg
-    | Xnf.Api.Api_error msg -> Fmt.pr "error: %s@." msg
-    | Xnf.Translate.Translate_error msg -> Fmt.pr "translation error: %s@." msg
+    Fmt.pr "%s@." (Xnf.Api.explain_analyze api body)
   end
   else if String.length line > 15 && String.lowercase_ascii (String.sub line 0 15) = "explain advise " then begin
     let body = String.trim (String.sub line 15 (String.length line - 15)) in
@@ -259,21 +277,7 @@ let run_line api current line =
     | Ok rp -> Fmt.pr "%s%!" (Check.Plan_advisor.render rp)
     | Error ds -> Fmt.pr "%a" Diag.pp_list (Diag.sort ds)
   end
-  else
-    try print_outcome current (Xnf.Api.exec api line) with
-    | Sql_lexer.Parse_error msg -> Fmt.pr "parse error: %s@." msg
-    | Binder.Bind_error msg -> Fmt.pr "semantic error: %s@." msg
-    | Db.Exec_error msg -> Fmt.pr "execution error: %s@." msg
-    | Xnf.Co_schema.Schema_error msg -> Fmt.pr "CO schema error: %s@." msg
-    | Xnf.View_registry.View_error msg -> Fmt.pr "view error: %s@." msg
-    | Xnf.Translate.Translate_error msg -> Fmt.pr "translation error: %s@." msg
-    | Xnf.Cache.Cache_error msg -> Fmt.pr "cache error: %s@." msg
-    | Xnf.Api.Api_error msg -> Fmt.pr "error: %s@." msg
-    | Txn.Txn_error msg -> Fmt.pr "transaction error: %s@." msg
-    | Catalog.Unknown_table t -> Fmt.pr "unknown table: %s@." t
-    | Catalog.Duplicate_name n -> Fmt.pr "duplicate name: %s@." n
-    | Check.Pipeline.Invariant_violation ds ->
-      Fmt.pr "internal invariant violation:@.%a" Diag.pp_list ds
+  else print_outcome current (Xnf.Api.exec api line)
 
 let repl api =
   let current = ref None in

@@ -11,24 +11,14 @@
        (E6 ablation, [`Naive]) is the same loop with each round's slice
        starting at 0: it re-probes every parent and keeps only its last
        round's connections;
-     - each relationship's predicate is analyzed once into its join key
-       (FK pairs or USING link bindings, plus residual conjuncts), and
-       each probe is *access-path selected* from it, like the plan
-       optimizer does for parent/child joins ("in the plan optimizer
-       handling of joins is heavily used since parent child relationships
-       are computed by joins");
-     - every access path is ONE prober: a key chain (an FK edge is one
-       lookup keyed by parent columns, a USING edge two chained lookups
-       parent -> link rows -> child rows) over a candidate source (a
-       stored base-table index, a version-cached hash build over a base
-       table, or a per-fetch build over a derived child's materialized
-       extent), with one delivery routine (child predicate -> concat ->
-       residual -> attributes, skipped entirely on the allocation-free
-       fast path). Indexed keys an FK edge by one indexed pair and leaves
-       the others to the residual; hash keys it by all pairs; generic
-       keys nothing by the parent — each probe scans the child's rows (a
-       USING edge: the link table, each link row keyed on to its
-       children) and the parent's key conjuncts are residual;
+     - each relationship is served by a [Prober]: its join key is
+       analyzed once per plan, and every access path [Edge_cost.candidates]
+       lists for the resulting shape is compiled up front. The driver
+       *selects* one per edge, like the plan optimizer does for
+       parent/child joins ("in the plan optimizer handling of joins is
+       heavily used since parent child relationships are computed by
+       joins"), opens it per execution and feeds it frontier rows; key
+       chains, candidate sources and builds stay inside [Prober];
      - non-root extents are therefore *lazy*: only reached tuples are ever
        materialized, which is what makes working-set extraction at 10^-4
        selectivity set-oriented AND cheap (E3);
@@ -46,7 +36,7 @@
 open Relational
 open Xnf_ast
 
-exception Translate_error of string
+exception Translate_error = Prober.Translate_error
 
 let err fmt = Fmt.kstr (fun s -> raise (Translate_error s)) fmt
 
@@ -68,8 +58,6 @@ let m_candidates_scanned = Obs.Metrics.counter "xnf.translate.candidates_scanned
 let m_indexed_probes = Obs.Metrics.counter "xnf.translate.indexed_probes"
 let m_generic_probes = Obs.Metrics.counter "xnf.translate.generic_probes"
 let m_hash_edges = Obs.Metrics.counter "xnf.translate.hash_edges"
-let m_hash_builds = Obs.Metrics.counter "xnf.translate.hash_builds"
-let m_hash_build_reuses = Obs.Metrics.counter "xnf.translate.hash_build_reuses"
 let m_hash_probes = Obs.Metrics.counter "xnf.translate.hash_probes"
 let m_cost_picks = Obs.Metrics.counter "xnf.translate.cost_picks"
 let m_strategy_switches = Obs.Metrics.counter "xnf.translate.strategy_switches"
@@ -226,560 +214,15 @@ let ensure_extent db (rt : node_rt) : Row.enc array =
     rt.nr_extent <- Some x;
     x
 
-(* ---- probers ----
-
-   A prober answers "children of this parent tuple" for one relationship:
-   one key chain over one candidate source, with one delivery routine.
-   The three strategies differ only in the chain's key and where
-   candidates come from — stored base-table indexes (indexed), builds
-   keyed by every key pair (hash-batch), or builds with an empty key, one
-   bucket holding the child's rows (generic).
-
-   Delivery is CPS: a prober is bound to its [emit id enc attrs]
-   consumer once per batch, then fed frontier rows. Per match it emits
-   the child's identity (base rowid of a simple child, extent index of a
-   derived one), its ENCODED row (a simple child's base row: the consumer
-   projects to node-output columns only when the tuple is first
-   materialized) and the ENCODED relationship-attribute row. The fast
-   path (no residual predicate, no WITH ATTRIBUTES, no probe-time child
-   predicate) allocates nothing per hit over a hash build: no record, no
-   list cons, no row copy, no decode. *)
-
-type emit = int -> Row.enc -> Row.enc -> unit
-type prober = emit -> Row.enc -> unit
-
-let empty_enc : Row.enc = [||]
-
-let qual_is alias = function
-  | Some q -> String.equal (String.lowercase_ascii q) alias
-  | None -> false
-
-(* ---- join-key analysis ----
-
-   Each relationship's predicate is split into conjuncts and classified
-   once per plan, in [compile_def]: an equality between a parent column
-   and a child column (base column of a simple child, output column of a
-   derived one) is an FK key pair; on a USING edge an equality
-   between a link column and a parent (child) column is a parent (child)
-   link binding; everything else is residual. The key chains, the
-   structural edge shape and — through the shape — servability
-   ([Edge_cost.candidates]) all read this one result. *)
-
-type join_key =
-  | Fk of (int * int * Sql_ast.expr) list
-      (** (parent column, child column, source conjunct), predicate order *)
-  | Using of {
-      link : Table.t;
-      parent_bind : (int * int * Sql_ast.expr) list;
-          (** (link column, parent column, source conjunct), predicate order *)
-      child_bind : (int * int) list;  (** (link column, child column) *)
-    }
-
-type edge_keys = {
-  ek_key : join_key;
-  ek_key_conj : Sql_ast.expr list;  (** the key's source conjuncts, predicate order *)
-  ek_residual : Sql_ast.expr list;  (** non-key conjuncts, predicate order *)
-  ek_concat : Schema.t;  (** parent ++ child (++ link): residuals and attributes bind here *)
-}
-
-(* the schema an edge's residual predicate and attributes bind over:
-   parent ++ child (++ USING link) rows *)
-let concat_schema db (ed : Co_schema.edge_def) ~parent_schema ~child_schema =
-  let base =
-    Schema.concat
-      (Schema.requalify ed.Co_schema.ed_parent_alias parent_schema)
-      (Schema.requalify ed.Co_schema.ed_child_alias child_schema)
-  in
-  match ed.Co_schema.ed_using with
-  | None -> base
-  | Some (t, a) -> begin
-    match Catalog.table_opt (Db.catalog db) t with
-    | Some link -> Schema.concat base (Schema.requalify a (Table.schema link))
-    | None -> base
-  end
-
-(* an arithmetic [?] operand takes its sibling's type: [Xc.g + ?] types
-   as [Xc.g + Xc.g]. A slot with no typed sibling is left in place for
-   [Binder.infer_ty] to reject. *)
-let rec type_params = function
-  | Expr.Arith (op, a, b) -> begin
-    match type_params a, type_params b with
-    | Expr.Param _, Expr.Param _ -> Expr.Arith (op, a, b)
-    | Expr.Param _, b -> Expr.Arith (op, b, b)
-    | a, Expr.Param _ -> Expr.Arith (op, a, a)
-    | a, b -> Expr.Arith (op, a, b)
-  end
-  | Expr.Neg a -> Expr.Neg (type_params a)
-  | e -> e
-
-(* relationship-attribute output schema over an edge's concat schema *)
-let attr_schema db (ed : Co_schema.edge_def) concat =
-  let env = Db.bind_env db in
-  Schema.make
-    (List.map
-       (fun (e, name) ->
-         let bound = Binder.bind_expr env concat e in
-         match Binder.infer_ty env concat (type_params bound) with
-         | ty -> Schema.column name ty
-         | exception Binder.Bind_error _ when Expr.has_param bound ->
-           err "[XNF009] relationship %s: attribute %s: a parameter needs a typed operand beside it"
-             ed.Co_schema.ed_name name)
-       ed.Co_schema.ed_attrs)
-
-(* [child_schema] is a simple child's base-table schema, a derived
-   child's output schema *)
-let analyze_keys db (ed : Co_schema.edge_def) ~(parent_schema : Schema.t) ~(child_schema : Schema.t)
-    : edge_keys =
-  let pa = ed.Co_schema.ed_parent_alias and ca = ed.Co_schema.ed_child_alias in
-  let link =
-    Option.map
-      (fun (name, la) ->
-        match Catalog.table_opt (Db.catalog db) name with
-        | None -> err "[XNF005] relationship %s: USING table %s does not exist" ed.Co_schema.ed_name name
-        | Some t -> (t, String.lowercase_ascii la))
-      ed.Co_schema.ed_using
-  in
-  let classify (q, n) =
-    if qual_is pa q then Option.map (fun i -> `Parent i) (Schema.find_opt parent_schema n)
-    else if qual_is ca q then Option.map (fun i -> `Child i) (Schema.find_opt child_schema n)
-    else
-      match link with
-      | Some (t, la) when qual_is la q ->
-        Option.map (fun i -> `Link i) (Schema.find_opt (Table.schema t) n)
-      | _ -> None
-  in
-  let fk = ref [] and parent_bind = ref [] and child_bind = ref [] in
-  let key_conj = ref [] and residual = ref [] in
-  let key c = key_conj := c :: !key_conj in
-  let rec split = function
-    | Sql_ast.E_and (a, b) -> split a; split b
-    | Sql_ast.E_cmp (Expr.Eq, Sql_ast.E_col (qa, na), Sql_ast.E_col (qb, nb)) as c -> begin
-      match classify (qa, na), classify (qb, nb) with
-      | (Some (`Parent p), Some (`Child ch) | Some (`Child ch), Some (`Parent p)) when link = None ->
-        key c;
-        fk := (p, ch, c) :: !fk
-      | Some (`Link l), Some (`Parent p) | Some (`Parent p), Some (`Link l) ->
-        key c;
-        parent_bind := (l, p, c) :: !parent_bind
-      | Some (`Link l), Some (`Child ch) | Some (`Child ch), Some (`Link l) ->
-        key c;
-        child_bind := (l, ch) :: !child_bind
-      | _ -> residual := c :: !residual
-    end
-    | c -> residual := c :: !residual
-  in
-  split ed.Co_schema.ed_pred;
-  let ek_key =
-    match link with
-    | None -> Fk (List.rev !fk)
-    | Some (link, _) ->
-      Using { link; parent_bind = List.rev !parent_bind; child_bind = List.rev !child_bind }
-  in
-  { ek_key; ek_key_conj = List.rev !key_conj; ek_residual = List.rev !residual;
-    ek_concat = concat_schema db ed ~parent_schema ~child_schema }
-
-(* shared prelude of the probe path: residual binding over the concat
-   schema and the per-EXECUTE parameter specialization. [child] is the
-   simple child, [None] for a derived one. *)
-let prober_ctx db (ed : Co_schema.edge_def) (keys : edge_keys) ~(child : simple option) =
-  let env = Db.bind_env db in
-  let bind_residual = function
-    | [] -> None
-    | c :: cs ->
-      Some (Binder.bind_expr env keys.ek_concat (List.fold_left (fun a c -> Sql_ast.E_and (a, c)) c cs))
-  in
-  let attr_fns =
-    List.map (fun (e, _) -> Binder.bind_expr env keys.ek_concat e) ed.Co_schema.ed_attrs
-  in
-  (* when the edge carries no WITH ATTRIBUTES, hits never need the
-     parent++child concat row unless a residual predicate asks for it —
-     delivery uses this to skip the per-hit decode and row allocation
-     entirely *)
-  let no_attrs = ed.Co_schema.ed_attrs = [] in
-  (* bind parameter slots once per EXECUTE, not once per probed row *)
-  let specialize params =
-    let sub e = if Array.length params = 0 then e else Expr.subst_params params e in
-    let afns = List.map sub attr_fns in
-    let eval_attrs concat =
-      Row.encode (Array.of_list (List.map (fun e -> Expr.eval concat e) afns))
-    in
-    let cpred = Option.map sub (Option.bind child (fun s -> s.s_pred)) in
-    let child_ok base_row =
-      match cpred with None -> true | Some p -> Value.is_true (Expr.eval_pred base_row p)
-    in
-    (sub, eval_attrs, child_ok)
-  in
-  (bind_residual, no_attrs, specialize)
-
-(* ---- batch hash builds ----
-
-   The set-oriented candidate source when no index serves the
-   relationship: a hash table over the source table keyed by the key
-   columns is built once and every probe resolves through it (a derived
-   child's build is over its extent and lives for one fetch). Builds hold
-   ENCODED rows keyed by [Dict.key_cell]-normalized id arrays
-   (one-column keys specialize to a raw-int hash table), with the whole
-   bucket stored as the hash-table VALUE — a probe is one [find]
-   returning the stored list, so the hot loop allocates nothing. A
-   parameter-free child predicate is folded into the build (rows failing
-   it are never entered); parameterized predicates and the edge's
-   residual stay at probe time, so a completed build is still held in
-   the compiled plan and reused by later executions (warm EXECUTE /
-   plan-cache hits) as long as the source table's DML-visible
-   [Table.version] still matches; DDL invalidation needs nothing extra
-   because [Fetch_plan.valid] already forces recompilation. Key equality
-   and hashing are [Expr.Row_key] over normalized ids — the same
-   semantics the relational hash-join operator uses (Int/Float
-   cross-equality via [Dict.key_cell]) — and NULL keys never match (rows
-   with a NULL key component are not entered, probes with one return
-   nothing). *)
-
-type hash_entries = (int * Row.enc) list
-
-type hash_build = {
-  hb_version : int;  (** [Table.version] of the source at build time *)
-  hb_tbl : hash_tbl;
-}
-
-and hash_tbl =
-  | HB_single of (int, hash_entries) Hashtbl.t  (** one key column: raw normalized ids *)
-  | HB_multi of hash_entries Expr.Row_key_tbl.t
-
-type hash_source = {
-  hs_table : Table.t;
-  hs_key_cols : int array;
-  hs_pred : Expr.t option;  (** parameter-free child predicate, folded into the build *)
-  mutable hs_build : hash_build option;  (** cached across executions of the plan *)
-}
-
-(* a plan's hash sources, one per (table, key columns, folded predicate):
-   edges over the same child extent — a recursive closure's root edge and
-   its recursive edge — share one build and its version check, the
-   common-subexpression reuse the paper asks of the translation. Tables
-   and predicates compare physically: the same node yields the same
-   ones. *)
-let source_memo () =
-  let sources = ref [] in
-  fun tbl key_cols pred ->
-    match
-      List.find_opt
-        (fun hs ->
-          hs.hs_table == tbl && hs.hs_key_cols = key_cols && Option.equal ( == ) hs.hs_pred pred)
-        !sources
-    with
-    | Some hs -> hs
-    | None ->
-      let hs = { hs_table = tbl; hs_key_cols = key_cols; hs_pred = pred; hs_build = None } in
-      sources := hs :: !sources;
-      hs
-
-(* one build: [iter add] feeds every candidate as [add id enc]. Pre-sized
-   to [n] so no resize ever rehashes the whole build; bucket lists are
-   stored as values (probe sets are frontier-sized, builds are
-   extent-sized, so the build side is the one to keep lean). An empty key
-   puts every row in one bucket. *)
-let hash_table n (key_cols : int array) iter : hash_tbl =
-  note_query ();
-  Obs.Metrics.incr m_hash_builds;
-  if Array.length key_cols = 1 then begin
-    let kc = key_cols.(0) in
-    let t : (int, hash_entries) Hashtbl.t = Hashtbl.create n in
-    iter (fun id enc ->
-        let k = Dict.key_cell enc.(kc) in
-        if not (Dict.is_null k) then
-          Hashtbl.replace t k ((id, enc) :: (match Hashtbl.find_opt t k with Some l -> l | None -> [])));
-    HB_single t
-  end
-  else begin
-    let t = Expr.Row_key_tbl.create n in
-    iter (fun id enc ->
-        let key = Array.map (fun i -> Dict.key_cell enc.(i)) key_cols in
-        if not (Expr.Row_key.has_null key) then
-          Expr.Row_key_tbl.replace t key
-            ((id, enc) :: (match Expr.Row_key_tbl.find_opt t key with Some l -> l | None -> [])));
-    HB_multi t
-  end
-
-let ensure_build (hs : hash_source) =
-  let v = Table.version hs.hs_table in
-  match hs.hs_build with
-  | Some b when b.hb_version = v ->
-    Obs.Metrics.incr m_hash_build_reuses;
-    b.hb_tbl
-  | _ ->
-    let tbl =
-      hash_table (max 64 (Table.cardinality hs.hs_table)) hs.hs_key_cols (fun add ->
-          Access_path.iter hs.hs_table Access_path.Scan hs.hs_pred (fun rowid row ->
-              add rowid (Row.encode row)))
-    in
-    hs.hs_build <- Some { hb_version = v; hb_tbl = tbl };
-    tbl
-
-(* buckets come out most-recently-added first, i.e. reverse table order —
-   hit order within one probe is not part of the contract. [find] with
-   the [Not_found] match keeps the miss path allocation-free too. *)
-let probe_single (t : (int, hash_entries) Hashtbl.t) k : hash_entries =
-  if Dict.is_null k then []
-  else match Hashtbl.find t k with exception Not_found -> [] | l -> l
-
-let probe_multi (t : hash_entries Expr.Row_key_tbl.t) (key : Expr.Row_key.t) : hash_entries =
-  if Expr.Row_key.has_null key then []
-  else match Expr.Row_key_tbl.find t key with exception Not_found -> [] | l -> l
-
-(* key extraction from an encoded row: one-column keys probe with the
-   raw normalized id, composite keys refill a per-prober scratch array
-   (never retained by [Hashtbl.find]), so probing allocates nothing *)
-let mk_hash_probe (tbl : hash_tbl) (cols : int array) : Row.enc -> hash_entries =
-  match tbl with
-  | HB_single t ->
-    let c = cols.(0) in
-    fun row -> probe_single t (Dict.key_cell row.(c))
-  | HB_multi t ->
-    let scratch = Array.make (Array.length cols) 0 in
-    fun row ->
-      Array.iteri (fun i ci -> scratch.(i) <- Dict.key_cell row.(ci)) cols;
-      probe_multi t scratch
-
-(* ---- candidate sources ----
-
-   A candidate source answers "rows for this key": [src row f] calls
-   [f id enc] for every candidate whose key equals [row]'s key columns,
-   with the candidate's ENCODED row. A stored index looks the boxed key
-   up with [Table.lookup_index] and encodes each hit; a build hands out
-   its stored bucket as-is — a base table's build is version-cached
-   across executions, a derived child's is made per fetch over its
-   extent, identified by extent index. Here, once for all: NULL keys
-   match nothing, and every candidate — before residual filtering —
-   counts into the prober's [scanned] counter, the observable the
-   adaptive fallback compares against the plan's scan estimate (stale
-   statistics cannot show a skewed bucket, the counter does). *)
-
-type hits = int -> Row.enc -> unit
-type source = Row.enc -> hits -> unit
-
-type source_kind =
-  | Index of Table.t * Index.t  (** a stored index keyed exactly by the lookup's key columns *)
-  | Build of hash_source
-  | Extent of int array  (** a derived child's extent, built per fetch on these columns *)
-
-type lookup = int array * source_kind  (** probing row's key columns, candidate source *)
-
-let always _ = true
-
-(* top-level loops, so a probe closes over nothing *)
-let rec index_hits scanned ok (f : hits) = function
-  | [] -> ()
-  | (rowid, row) :: rest ->
-    incr scanned;
-    if ok row then f rowid (Row.encode row);
-    index_hits scanned ok f rest
-
-let rec build_hits scanned (f : hits) = function
-  | [] -> ()
-  | (rowid, enc) :: rest ->
-    incr scanned;
-    f rowid enc;
-    build_hits scanned f rest
-
-(* open a source for one execution, keyed by the probing row's [cols]: a
-   base-table build is (re)built or reused here, [extent] supplies a
-   derived child's rows on the first probe; a stored index filters candidates with [ok] on their
-   boxed rows before encoding them (a build folds its parameter-free
-   predicate in instead) *)
-let open_source scanned ~ok ~extent ((cols, kind) : lookup) : source =
-  match kind with
-  | Index (tbl, idx) ->
-    let n = Array.length cols in
-    fun row f ->
-      let key = Array.make n Value.Null and null = ref false in
-      for i = 0 to n - 1 do
-        let id = row.(cols.(i)) in
-        if Dict.is_null id then null := true else key.(i) <- Dict.decode id
-      done;
-      if not !null then index_hits scanned ok f (Table.lookup_index tbl idx key)
-  | Build hs ->
-    let find = mk_hash_probe (ensure_build hs) cols in
-    fun row f -> build_hits scanned f (find row)
-  | Extent key_cols ->
-    (* materialized on the first probe: an edge no parent reaches costs
-       no derived-extent query and no build *)
-    let find =
-      lazy
-        (let x = extent () in
-         mk_hash_probe (hash_table (max 64 (Array.length x)) key_cols (fun add -> Array.iteri add x)) cols)
-    in
-    fun row f -> build_hits scanned f (Lazy.force find row)
-
-(* ---- key chains ----
-
-   The lookups one strategy probes an edge with. An FK edge is one lookup
-   keyed by parent columns; a USING edge chains two: parent -> link rows
-   -> child rows. The indexed chain keys an FK edge by its first pair
-   with an index on the child column and leaves the other pairs to the
-   residual; the hash chain keys it by all pairs; the generic chain keys
-   it by none, leaving every key conjunct to the residual. *)
-
-type key_chain = {
-  kc_link : lookup option;  (** USING: parent -> link rows *)
-  kc_child : lookup;  (** parent (or link) -> child rows *)
-  kc_residual : Sql_ast.expr list;  (** key conjuncts the chain leaves unconsumed *)
-}
-
-(* the chain's lookups over [fk_pairs] (an FK edge) or the link bindings:
-   link (probing row's columns, link table, link key columns) and child
-   (probing row's columns, child key columns) *)
-let lookups (keys : edge_keys) fk_pairs =
-  let cols f l = Array.of_list (List.map f l) in
-  match keys.ek_key with
-  | Fk _ -> (None, (cols (fun (p, _, _) -> p) fk_pairs, cols (fun (_, ch, _) -> ch) fk_pairs))
-  | Using { link; parent_bind; child_bind } ->
-    ( Some (cols (fun (_, p, _) -> p) parent_bind, link, cols (fun (l, _, _) -> l) parent_bind),
-      (cols fst child_bind, cols snd child_bind) )
-
-let indexed_chain (keys : edge_keys) ~(child : simple) : key_chain option =
-  let indexed (probe_cols, tbl, key_cols) =
-    if probe_cols = [||] then None
-    else Option.map (fun idx -> (probe_cols, Index (tbl, idx))) (Table.find_index tbl ~cols:key_cols)
-  in
-  let chain fk_pairs kc_residual =
-    let link, (probe_cols, key_cols) = lookups keys fk_pairs in
-    match Option.map indexed link, indexed (probe_cols, child.s_table, key_cols) with
-    | None, Some kc_child -> Some { kc_link = None; kc_child; kc_residual }
-    | Some (Some l), Some kc_child -> Some { kc_link = Some l; kc_child; kc_residual }
-    | _ -> None
-  in
-  match keys.ek_key with
-  | Fk pairs ->
-    List.find_map
-      (fun kp ->
-        chain [ kp ]
-          (List.filter_map (fun ((_, _, c) as kp') -> if kp' == kp then None else Some c) pairs))
-      pairs
-  | Using _ -> chain [] []
-
-(* the hash chain ([keyed]) and the generic chain (not): every lookup
-   resolves through a build over a base table, or over a derived child's
-   extent ([child] = None). The generic chain keys nothing by the parent:
-   on an FK edge the child build is one bucket of the child's qualifying
-   rows that every probe scans; on a USING edge the link build is one
-   bucket and each link row reaches its children through the hash
-   chain's link-to-child lookup, so a probe scans the link table plus
-   its matches, not link x child. *)
-let build_chain ~source ~keyed (keys : edge_keys) ~(child : simple option) : key_chain =
-  (* a parameter-free child predicate filters at BUILD time, so probes
-     skip per-candidate predicate evaluation (and the decode it needs);
-     a parameterized one stays at probe time *)
-  let build_pred =
-    match child with Some { s_pred = Some p; _ } when not (Expr.has_param p) -> Some p | _ -> None
-  in
-  let child_src key_cols =
-    match child with
-    | Some c -> Build (source c.s_table key_cols build_pred)
-    | None -> Extent key_cols
-  in
-  let link, (probe_cols, key_cols) =
-    lookups keys (match keys.ek_key with Fk pairs -> pairs | Using _ -> [])
-  in
-  match keys.ek_key with
-  | _ when keyed ->
-    { kc_link = Option.map (fun (pc, tbl, kc) -> (pc, Build (source tbl kc None))) link;
-      kc_child = (probe_cols, child_src key_cols); kc_residual = [] }
-  | Fk _ -> { kc_link = None; kc_child = ([||], child_src [||]); kc_residual = keys.ek_key_conj }
-  | Using { parent_bind; _ } ->
-    { kc_link = Option.map (fun (_, tbl, _) -> ([||], Build (source tbl [||] None))) link;
-      kc_child = (probe_cols, child_src key_cols);
-      kc_residual = List.map (fun (_, _, c) -> c) parent_bind }
-
-(* [Row.decode] remembering its last argument: the hits of one frontier
-   row share one decoded parent (and link) row *)
-let decode_memo () =
-  let last = ref empty_enc and dec = ref [||] in
-  fun enc ->
-    if enc != !last then begin
-      last := enc;
-      dec := Row.decode enc
-    end;
-    !dec
-
-(* build the prober for [ed] over one key chain. The result is
-   parameterized over EXECUTE-time values: applying it to a [params]
-   array and the derived child's extent substitutes the parameter slots
-   once, opens the chain's sources (building or reusing hash builds —
-   once per fetch) and yields the prober. The [int ref] counts candidate
-   rows scanned, cumulative over the prober's lifetime. *)
-let build_prober db (ed : Co_schema.edge_def) (keys : edge_keys) ~(child : simple option)
-    (chain : key_chain) : (Value.t array -> (unit -> Row.enc array) -> prober) * int ref =
-  let bind_residual, no_attrs, specialize = prober_ctx db ed keys ~child in
-  let residual0 = bind_residual (chain.kc_residual @ keys.ek_residual) in
-  let using = chain.kc_link <> None in
-  (* the child predicate no source applies: a stored index filters its
-     candidates, a build folds in only a parameter-free predicate, a
-     derived child has none *)
-  let probe_pred =
-    match snd chain.kc_child, child with
-    | Build { hs_pred = None; _ }, Some { s_pred = Some _; _ } -> true
-    | _ -> false
-  in
-  let scanned = ref 0 in
-  ( (fun params extent ->
-      let sub, eval_attrs, child_ok = specialize params in
-      let residual = Option.map sub residual0 in
-      let link_src = Option.map (open_source scanned ~ok:always ~extent) chain.kc_link in
-      let child_src = open_source scanned ~ok:child_ok ~extent chain.kc_child in
-      let child_ok = if probe_pred then child_ok else always in
-      let fast = residual = None && no_attrs && not probe_pred in
-      fun emit ->
-        let parent = ref empty_enc and link = ref empty_enc in
-        (* one delivery routine: the fast path emits the candidate as-is;
-           the slow path applies child predicate -> concat -> residual ->
-           attributes *)
-        let deliver : hits =
-          if fast then fun rowid enc -> emit rowid enc empty_enc
-          else begin
-            let parent_dec = decode_memo () and link_dec = decode_memo () in
-            fun rowid enc ->
-              let base = Row.decode enc in
-              if child_ok base then begin
-                if residual = None && no_attrs then emit rowid enc empty_enc
-                else begin
-                  let concat = Row.concat (parent_dec !parent) base in
-                  let concat = if using then Row.concat concat (link_dec !link) else concat in
-                  let keep =
-                    match residual with
-                    | None -> true
-                    | Some p -> Value.is_true (Expr.eval_pred concat p)
-                  in
-                  if keep then emit rowid enc (eval_attrs concat)
-                end
-              end
-          end
-        in
-        let probe =
-          match link_src with
-          | None -> child_src
-          | Some link_src ->
-            let via _ enc =
-              link := enc;
-              child_src enc deliver
-            in
-            fun row _ -> link_src row via
-        in
-        if fast then fun row -> probe row deliver
-        else
-          fun row ->
-            parent := row;
-            probe row deliver),
-    scanned )
-
 (* ---- structural edge shapes ----
 
    The join structure of each relationship — which base table the child
    resolves to, which equality columns form the join key on either side,
    whether an index serves the probe today — read off the edge's key
-   analysis. Shapes carry no closures or data, only names: they exist
-   for cost-based selection, servability ([Edge_cost.candidates]) and
-   post-compile analysis (the static plan advisor), which must reason
-   about a plan without executing it. *)
+   analysis ([Prober.shape]). Shapes carry no closures or data, only
+   names: they exist for cost-based selection, servability
+   ([Edge_cost.candidates]) and post-compile analysis (the static plan
+   advisor), which must reason about a plan without executing it. *)
 
 type edge_shape = Edge_cost.edge_shape = {
   es_name : string;
@@ -802,31 +245,6 @@ type node_shape = Edge_cost.node_shape = {
   ns_pred : Expr.t option;  (** combined simple predicate over the base row *)
   ns_query : Sql_ast.select;  (** the (composed) derivation *)
 }
-
-let col_name schema i = (Schema.col schema i).Schema.col_name
-
-(* [child_table] is a simple child's base table; [child_schema] the
-   schema [keys] was analyzed over; [indexed] whether the indexed key
-   chain found its indexes *)
-let edge_shape_of (ed : Co_schema.edge_def) ~(parent_schema : Schema.t) ~child_table ~child_schema
-    (k : edge_keys) ~indexed : edge_shape =
-  let base =
-    { es_name = ed.Co_schema.ed_name; es_parent = ed.Co_schema.ed_parent;
-      es_child = ed.Co_schema.ed_child; es_strategy = S_generic;
-      es_child_table = Option.map Table.name child_table; es_parent_cols = []; es_child_cols = [];
-      es_using = None; es_indexed = indexed; es_residual = k.ek_residual <> [] }
-  in
-  match k.ek_key with
-  | Fk pairs ->
-    { base with
-      es_parent_cols = List.map (fun (p, _, _) -> col_name parent_schema p) pairs;
-      es_child_cols = List.map (fun (_, ch, _) -> col_name child_schema ch) pairs }
-  | Using { link; parent_bind; child_bind } ->
-    { base with
-      es_parent_cols = List.map (fun (_, p, _) -> col_name parent_schema p) parent_bind;
-      es_child_cols = List.map (fun (_, ch) -> col_name child_schema ch) child_bind;
-      es_using =
-        Some (Table.name link, List.map (fun (l, _, _) -> col_name (Table.schema link) l) parent_bind) }
 
 (* base tables a SELECT depends on (for staleness tracking) *)
 let rec tables_of_select catalog (q : Sql_ast.select) : string list =
@@ -910,28 +328,12 @@ let node_shape (name, np) =
   { ns_name = name; ns_table = Option.map (fun s -> Table.name s.s_table) np.np_simple;
     ns_pred = Option.bind np.np_simple (fun s -> s.s_pred); ns_query = np.np_def.Co_schema.nd_query }
 
-(* one compiled access path: the prober parameterized over EXECUTE-time
-   values and the derived child's extent (its closure owns any
-   version-cached hash builds), and the cumulative candidate-rows-scanned
-   counter its probes maintain *)
-type built_prober = {
-  bp_fn : Value.t array -> (unit -> Row.enc array) -> prober;
-  bp_scanned : int ref;
-}
-
-(* every access path the edge can be served by, compiled up front: the
-   plan picks one, the adaptive runtime check may instate an alternate
-   mid-fixpoint. Unbuilt probers cost nothing until specialized. *)
-type edge_candidates = {
-  ec_attrs : Schema.t;  (** relationship-attribute schema *)
-  ec_indexed : built_prober option;
-  ec_hash : built_prober option;
-  ec_generic : built_prober;  (** always applicable *)
-}
-
+(* every access path the edge can be served by is compiled up front: the
+   plan picks one, the adaptive runtime check may open an alternate
+   mid-fixpoint *)
 type edge_plan = {
   ep_chosen : strategy;  (** compile-time pick (cost-based or static) *)
-  ep_cands : edge_candidates;
+  ep_probers : Prober.edge;
 }
 
 (** One adaptive mid-fixpoint strategy switch, recorded on the plan. *)
@@ -1005,34 +407,18 @@ let compile_def ?(take = Xnf_ast.Take_star) ?force db (def : Co_schema.t) : comp
         def.Co_schema.co_edges
     |> List.sort_uniq compare
   in
-  (* per edge: one key analysis (over a simple child's base rows or a
-     derived child's output rows), the shape read off it, and every access
-     path [Edge_cost.candidates] lists for that shape, compiled up front;
-     generic always applies *)
-  let source = source_memo () in
+  let builds = Prober.builds () in
   let cand_edges =
     List.map
       (fun (ed : Co_schema.edge_def) ->
-        let parent = node ed.Co_schema.ed_parent and child = node ed.Co_schema.ed_child in
-        let parent_schema = parent.np_schema and simple = child.np_simple in
-        let child_table = Option.map (fun c -> c.s_table) simple in
-        let child_schema = Option.fold ~none:child.np_schema ~some:Table.schema child_table in
-        let keys = analyze_keys db ed ~parent_schema ~child_schema in
-        let probe_path chain =
-          let f, scanned = build_prober db ed keys ~child:simple chain in
-          { bp_fn = f; bp_scanned = scanned }
+        let parent_schema = (node ed.Co_schema.ed_parent).np_schema in
+        let child =
+          match node ed.Co_schema.ed_child with
+          | { np_simple = Some s; _ } -> Prober.Base (s.s_table, s.s_pred)
+          | { np_schema; _ } -> Prober.Derived np_schema
         in
-        let ec_indexed =
-          Option.bind simple (fun c -> Option.map probe_path (indexed_chain keys ~child:c))
-        in
-        let shape =
-          edge_shape_of ed ~parent_schema ~child_table ~child_schema keys ~indexed:(ec_indexed <> None)
-        in
-        let batch keyed = probe_path (build_chain ~source ~keyed keys ~child:simple) in
-        let ec_hash = if List.mem S_hash (Edge_cost.candidates shape) then Some (batch true) else None in
-        let ec_generic = batch false in
-        let cands = { ec_attrs = attr_schema db ed keys.ek_concat; ec_indexed; ec_hash; ec_generic } in
-        (ed, cands, shape))
+        let pe = Prober.compile db builds ed ~parent_schema ~child in
+        (ed, pe, Prober.shape pe))
       def.Co_schema.co_edges
   in
   (* cost-based pick: only unforced and with a fresh ANALYZE snapshot for
@@ -1055,7 +441,7 @@ let compile_def ?(take = Xnf_ast.Take_star) ?force db (def : Co_schema.t) : comp
   in
   let edges =
     List.map
-      (fun ((ed : Co_schema.edge_def), cands, shape0) ->
+      (fun ((ed : Co_schema.edge_def), pe, shape0) ->
         let avail = Edge_cost.candidates shape0 in
         let chosen =
           match force with
@@ -1075,7 +461,7 @@ let compile_def ?(take = Xnf_ast.Take_star) ?force db (def : Co_schema.t) : comp
           | S_indexed -> m_indexed_probes
           | S_hash -> m_hash_edges
           | S_generic -> m_generic_probes);
-        ( (ed.Co_schema.ed_name, { ep_chosen = chosen; ep_cands = cands }),
+        ( (ed.Co_schema.ed_name, { ep_chosen = chosen; ep_probers = pe }),
           { shape0 with es_strategy = chosen } ))
       cand_edges
   in
@@ -1165,10 +551,9 @@ let base_tables (cp : compiled) : string list = cp.cp_base_tables
    restrictions, sharing one per-fetch runtime record ---- *)
 
 (* per-edge runtime state for one execution: the connection buffer its
-   probes fill, which strategy is serving, its prober bound to this
-   execution's parameters, and the observed frontier/connection/
-   candidate-scan counters the between-rounds adaptive check compares
-   against the plan's estimates *)
+   probes fill, which strategy is serving, its prober opened for this
+   execution, and the observed frontier/connection counters the
+   between-rounds adaptive check compares against the plan's estimates *)
 type edge_rt = {
   er_def : Co_schema.edge_def;
   er_plan : edge_plan;
@@ -1176,9 +561,7 @@ type edge_rt = {
   er_child : node_rt;
   er_buf : Cache.conns;
   mutable er_serving : strategy;
-  mutable er_probe : prober;
-  mutable er_bp : built_prober;  (** serving prober's compile-time record *)
-  mutable er_scan_base : int;  (** [bp_scanned] when the serving prober was instated *)
+  mutable er_probe : Prober.t;
   mutable er_probed : int;  (** frontier rows fed to this edge so far *)
   mutable er_conns : int;  (** connections produced so far *)
   mutable er_switched : bool;  (** divergence handled — at most one switch per execution *)
@@ -1193,23 +576,13 @@ type run = {
   ru_edges : edge_rt list;  (** definition order *)
 }
 
-(* strategy [s]'s prober for an edge, binding the parameter slots and
-   the child's extent; base-table builds are (re)built or reused here,
-   once per fetch, a derived child's on the edge's first probe *)
-let instate db params (cands : edge_candidates) child s =
-  let bp =
-    match s, cands with
-    | S_indexed, { ec_indexed = Some bp; _ } | S_hash, { ec_hash = Some bp; _ } -> bp
-    | _ -> cands.ec_generic
-  in
-  (bp, bp.bp_fn params (fun () -> ensure_extent db child))
+(* strategy [s]'s prober for an edge, opened for one execution *)
+let open_prober db params (plan : edge_plan) child s =
+  Prober.open_ plan.ep_probers s params ~extent:(fun () -> ensure_extent db child)
 
 let set_serving run er s =
-  let bp, probe = instate run.ru_db run.ru_params er.er_plan.ep_cands er.er_child s in
   er.er_serving <- s;
-  er.er_bp <- bp;
-  er.er_probe <- probe;
-  er.er_scan_base <- !(bp.bp_scanned)
+  er.er_probe <- open_prober run.ru_db run.ru_params er.er_plan er.er_child s
 
 (* fresh per-fetch node state from the immutable plan; warm
    re-executions presize from the previous run's cardinalities so the
@@ -1254,13 +627,12 @@ let edge_rts db (cp : compiled) params nodes =
       let name = ed.Co_schema.ed_name in
       let plan = List.assoc name cp.cp_edges and child = List.assoc ed.Co_schema.ed_child nodes in
       let s = List.assoc name serving in
-      let bp, probe = instate db params plan.ep_cands child s in
       { er_def = ed; er_plan = plan; er_parent = List.assoc ed.Co_schema.ed_parent nodes;
         er_child = child;
         er_buf =
           Cache.make_conns ~size_hint:(hint cp ("e:" ^ name) 8) ~attrs:(ed.Co_schema.ed_attrs <> []) ();
-        er_serving = s; er_probe = probe; er_bp = bp; er_scan_base = !(bp.bp_scanned); er_probed = 0;
-        er_conns = 0; er_switched = false; er_probe_ns = 0. })
+        er_serving = s; er_probe = open_prober db params plan child s; er_probed = 0; er_conns = 0;
+        er_switched = false; er_probe_ns = 0. })
     cp.cp_def.Co_schema.co_edges
 
 (* roots: set-oriented evaluation of the derivations *)
@@ -1303,7 +675,7 @@ let child_proj child_rt =
 (* one edge's probe of its parent slice through its prober; true when a
    child tuple was created. A simple child's tuples are identified by
    base rowid, a derived child's by extent index. *)
-let probe_batch er (probe : prober) =
+let probe_batch er (probe : Prober.t) =
   note_query ();
   let parent_rt = er.er_parent and child_rt = er.er_child in
   let ni = child_rt.nr_ni and derived = child_rt.nr_simple = None in
@@ -1313,7 +685,7 @@ let probe_batch er (probe : prober) =
      parent position threads through a mutable cell *)
   let cur = ref 0 in
   let probe_row =
-    probe (fun id enc attrs ->
+    Prober.probe probe (fun id enc attrs ->
         let cpos = if derived then Intmap.get child_rt.nr_tid2pos id else Cache.pos_of_rowid ni id in
         let cpos =
           if cpos >= 0 then cpos
@@ -1366,7 +738,7 @@ let adaptive_check run round =
         let factor = adaptive_factor () in
         let f = float_of_int er.er_probed in
         let c = float_of_int er.er_conns in
-        let scan = float_of_int (!(er.er_bp.bp_scanned) - er.er_scan_base) in
+        let scan = float_of_int (Prober.scanned er.er_probe) in
         let est_scan =
           f
           *. Float.max 1.
@@ -1442,10 +814,10 @@ let fixpoint run mode =
           er.er_probed <- er.er_probed + n_probes;
           (* rounds interleave the edges, so each edge's probe time is
              accumulated here and reported on its connections span *)
-          let t0 = Obs.Metrics.now_ns () and s0 = !(er.er_bp.bp_scanned) in
+          let t0 = Obs.Metrics.now_ns () and s0 = Prober.scanned er.er_probe in
           if er.er_serving = S_hash then Obs.Metrics.incr m_hash_probes;
           if probe_batch er er.er_probe then changed := true;
-          Obs.Metrics.incr ~by:(!(er.er_bp.bp_scanned) - s0) m_candidates_scanned;
+          Obs.Metrics.incr ~by:(Prober.scanned er.er_probe - s0) m_candidates_scanned;
           er.er_probe_ns <- er.er_probe_ns +. (Obs.Metrics.now_ns () -. t0)
         end)
       run.ru_edges;
@@ -1469,7 +841,8 @@ let connections run =
       ( ed.Co_schema.ed_name,
         { Cache.ei_name = ed.Co_schema.ed_name; ei_parent = ed.Co_schema.ed_parent;
           ei_child = ed.Co_schema.ed_child; ei_parent_node = er.er_parent.nr_ni;
-          ei_child_node = er.er_child.nr_ni; ei_attr_schema = er.er_plan.ep_cands.ec_attrs; ei_conns = er.er_buf;
+          ei_child_node = er.er_child.nr_ni; ei_attr_schema = Prober.attrs er.er_plan.ep_probers;
+          ei_conns = er.er_buf;
           ei_adj = None; ei_upd = Semantic.Upd_readonly "pending analysis" } ))
     run.ru_edges
 

@@ -8,15 +8,11 @@
       graph (DAGs converge in one topological sweep, recursive schemas
       iterate); the naive variant, selectable for the E6 ablation,
       re-probes every parent each round;
-    - each relationship's predicate is analyzed once into its join key
-      (FK pairs or USING link bindings, plus residual conjuncts), and each
-      probe is access-path selected from it: FK-equality and indexed USING
-      patterns run as index-nested-loop probes, other keyed edges as batch
-      hash probes against builds (version-cached over a base table, per
-      fetch over a derived child's extent), and everything else as a
-      generic scan of the child's rows (of the link table, on a USING
-      edge) with the parent's key conjuncts residual — one prober, a key
-      chain over a candidate source, for all three;
+    - each relationship is served by a {!Prober}: its join key is
+      analyzed once per plan and a prober compiled for every access path
+      the key admits (index-nested-loop, batch hash, generic scan). This
+      driver picks one per edge, opens it per execution, feeds it the
+      round's frontier and may switch it between rounds;
     - a derived (non-simple) node's derivation runs through the relational
       engine once per fetch, and only when a root evaluation or a probe
       first needs it; its tuples are identified by extent index;
@@ -29,6 +25,8 @@
 
 open Relational
 
+(** Raised for a composed definition that cannot be translated; the same
+    exception as [Prober.Translate_error]. *)
 exception Translate_error of string
 
 type fixpoint = Semi_naive | Naive

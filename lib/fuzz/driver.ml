@@ -30,7 +30,7 @@ let detail_of (o : Oracle.outcome) =
 
 let coverage_counts =
   [ "recursive"; "sharing"; "views"; "using"; "paths"; "naive"; "lw90"; "mono"; "hash";
-    "adaptive"; "advise"; "dict"; "noindex"; "derived" ]
+    "adaptive"; "advise"; "dict"; "noindex"; "derived"; "generic" ]
 
 let bump cov (f : Oracle.flags) =
   let on = function
@@ -48,6 +48,7 @@ let bump cov (f : Oracle.flags) =
     | "dict" -> f.Oracle.f_dict
     | "noindex" -> f.Oracle.f_noindex
     | "derived" -> f.Oracle.f_derived
+    | "generic" -> f.Oracle.f_generic
     | _ -> false
   in
   List.map (fun (k, n) -> (k, if on k then n + 1 else n)) cov

@@ -11,10 +11,13 @@
    (k INTEGER PRIMARY KEY, f, h, g INTEGER, s VARCHAR). A spanning set of
    edges keeps every node reachable from n0 (parents always have a lower
    index), then extra edges add schema sharing, M:N USING link tables,
-   WITH ATTRIBUTES, back edges (cycles) and self loops. Node derivations
-   are [SELECT * FROM ti], sometimes wrapped in a WHERE restriction
-   (a [g] bound, an indexed column equal to a stored value, or both),
-   sometimes made derived (DISTINCT, or GROUP BY every column);
+   WITH ATTRIBUTES, back edges (cycles) and self loops. Some edges have
+   no usable hash key — a computed key ([p.k + 0 = c.f]), an inequality
+   ([p.g < c.g]), or a USING link that binds no parent or no child
+   column — so the default pick is generic before any ANALYZE. Node
+   derivations are [SELECT * FROM ti], sometimes wrapped in a WHERE
+   restriction (a [g] bound, an indexed column equal to a stored value,
+   or both), sometimes made derived (DISTINCT, or GROUP BY every column);
    restrictions mix SQL node/edge predicates with reduced and qualified
    path expressions; views cover prefixes of the node set (views over
    views); TAKE is * or a random structural projection. *)
@@ -70,6 +73,9 @@ let ecol q c = Sql_ast.E_col (Some q, c)
 let eint i = Sql_ast.E_lit (Value.Int i)
 let eq a b = Sql_ast.E_cmp (Expr.Eq, a, b)
 
+(* [e + 0]: the same value, but not a column, so no join key *)
+let computed e = Sql_ast.E_arith (Expr.Add, e, eint 0)
+
 let node_ddl i =
   Printf.sprintf
     "CREATE TABLE %s (k INTEGER PRIMARY KEY, f INTEGER, h INTEGER, g INTEGER, s VARCHAR(4))"
@@ -122,6 +128,14 @@ let generate ?(config = default) ~seed ~index () : case =
       | `G -> eq (ecol pa "g") (ecol ca "g")
       | `S -> eq (ecol pa "s") (ecol ca "s")
     in
+    (* no usable key: the edge is served generic unless forced *)
+    let pred =
+      if not (Rng.bool rng 0.15) then pred
+      else
+        match pred with
+        | Sql_ast.E_cmp (Expr.Eq, l, r) when kind <> `S && Rng.bool rng 0.5 -> eq (computed l) r
+        | _ -> Sql_ast.E_cmp (Expr.Lt, ecol pa "g", ecol ca "g")
+    in
     { g_name = name; g_parent = p; g_child = c; g_pvar = pvar; g_cvar = cvar; g_using = None;
       g_attrs = []; g_pred = extra_conjunct ca pred }
   in
@@ -139,7 +153,15 @@ let generate ?(config = default) ~seed ~index () : case =
     let self = p = c in
     let pvar, cvar = if self then (Some "sp", Some "sc") else (None, None) in
     let pa, ca = alias pvar cvar p c in
-    let pred = Sql_ast.E_and (eq (ecol pa "k") (ecol "u" "lp"), eq (ecol ca "k") (ecol "u" "lc")) in
+    (* a computed key on either side leaves the link unbound there: no
+       hash key, so the edge is served generic unless forced *)
+    let parent_key, child_key =
+      match Rng.int rng 10 with
+      | 0 -> (computed (ecol pa "k"), ecol ca "k")
+      | 1 -> (ecol pa "k", computed (ecol ca "k"))
+      | _ -> (ecol pa "k", ecol ca "k")
+    in
+    let pred = Sql_ast.E_and (eq parent_key (ecol "u" "lp"), eq child_key (ecol "u" "lc")) in
     let attrs = if Rng.bool rng 0.5 then [ (ecol "u" "w", "w") ] else [] in
     { g_name = name; g_parent = p; g_child = c; g_pvar = pvar; g_cvar = cvar;
       g_using = Some (link, "u"); g_attrs = attrs; g_pred = pred }

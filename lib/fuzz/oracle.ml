@@ -64,13 +64,15 @@ type flags = {
   f_dict : bool;  (** the dictionary round-trip oracle compared the instance *)
   f_noindex : bool;  (** the index-free differential compared an index-driven root *)
   f_derived : bool;  (** a relationship reached a derived (non-simple) child *)
+  f_generic : bool;  (** the unforced plan served some edge generic *)
   f_mutated : bool;  (** the injected mutation found something to break *)
 }
 
 let no_flags =
   { f_recursive = false; f_sharing = false; f_views = false; f_using = false; f_paths = false;
     f_naive = false; f_lw90 = false; f_mono = false; f_hash = false; f_adaptive = false;
-    f_advise = false; f_dict = false; f_noindex = false; f_derived = false; f_mutated = false }
+    f_advise = false; f_dict = false; f_noindex = false; f_derived = false; f_generic = false;
+    f_mutated = false }
 
 type outcome = { o_divs : divergence list; o_flags : flags }
 
@@ -434,9 +436,14 @@ let run ?(advise = false) ?mutation ?extra_restr (sc : Gen.scenario) : outcome =
               | None -> ());
           (* the pre-TAKE, pre-path-restriction instance the per-node
              derivation oracles are defined on *)
-          let pre = ref None in
+          let pre = ref None and f_generic = ref false in
           guard "pre" (fun () ->
-              pre := Some (Translate.execute_def db (Translate.compile_def db def) []));
+              let cp = Translate.compile_def db def in
+              pre := Some (Translate.execute_def db cp []);
+              f_generic :=
+                List.exists
+                  (fun (_, s) -> s = Translate.S_generic)
+                  (Translate.effective_strategies cp));
           let flags =
             match !pre with
             | None -> flags
@@ -479,8 +486,11 @@ let run ?(advise = false) ?mutation ?extra_restr (sc : Gen.scenario) : outcome =
                  access path; indexed, batch-hash and generic executions
                  must deliver identical instances (same comparator as the
                  naive oracle), and so must the independent SQL route *)
+              let reference = ref None in
               guard "sql-route" (fun () ->
-                  match compare_caches pre (Baseline.Sql_route.fetch db def) with
+                  let r = Baseline.Sql_route.fetch db def in
+                  reference := Some r;
+                  match compare_caches pre r with
                   | Some d -> add "sql-route" d
                   | None -> ());
               let f_hash = ref false in
@@ -519,6 +529,18 @@ let run ?(advise = false) ?mutation ?extra_restr (sc : Gen.scenario) : outcome =
                       | Some d -> add "strategy-adaptive" d
                       | None -> ());
                       f_adaptive := Translate.switches cp <> []));
+              (* the cost-picked plan under the default switching
+                 thresholds, against the same reference: on small tables
+                 the cost model serves keyed edges generic, which the
+                 static pick above never does *)
+              Option.iter
+                (fun r ->
+                  guard "sql-route" (fun () ->
+                      let cp = Translate.compile_def db def in
+                      match compare_caches (Translate.execute_def db cp []) r with
+                      | Some d -> add "sql-route" ("cost-picked: " ^ d)
+                      | None -> ()))
+                !reference;
               (* oracle 2: unshared per-node derivations (DAG only);
                  callers classify up front via the shared predicate *)
               let f_naive =
@@ -592,7 +614,7 @@ let run ?(advise = false) ?mutation ?extra_restr (sc : Gen.scenario) : outcome =
                 else false
               in
               { flags with f_naive; f_lw90; f_hash = !f_hash; f_adaptive = !f_adaptive;
-                f_dict = !f_dict }
+                f_dict = !f_dict; f_generic = !f_generic }
             end
           in
           (* metamorphic: a strengthened query yields a sub-instance *)

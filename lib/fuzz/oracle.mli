@@ -37,6 +37,7 @@ type flags = {
   f_dict : bool;  (** the dictionary round-trip oracle compared the instance *)
   f_noindex : bool;  (** the index-free differential compared an index-driven root *)
   f_derived : bool;  (** a relationship reached a derived (non-simple) child *)
+  f_generic : bool;  (** the unforced plan served some edge generic *)
   f_mutated : bool;  (** the injected mutation found something to break *)
 }
 

@@ -390,21 +390,3 @@ module Row_key = struct
 end
 
 module Row_key_tbl = Hashtbl.Make (Row_key)
-
-(** The pre-dictionary boxed key view ([Value.equal] / [Value.hash] over
-    [Value.t] arrays). Kept for the layers that still work on decoded
-    values — column statistics and the naive oracles. *)
-module Row_key_boxed = struct
-  type t = Value.t array
-
-  let equal (a : t) (b : t) =
-    Array.length a = Array.length b
-    &&
-    let rec go i = i >= Array.length a || (Value.equal a.(i) b.(i) && go (i + 1)) in
-    go 0
-
-  let hash (k : t) = Array.fold_left (fun acc v -> (acc * 31) + Value.hash v) 7 k
-  let has_null (k : t) = Array.exists Value.is_null k
-end
-
-module Row_key_boxed_tbl = Hashtbl.Make (Row_key_boxed)

@@ -110,17 +110,3 @@ end
 
 (** Hash tables keyed by {!Row_key}. *)
 module Row_key_tbl : Hashtbl.S with type key = Row_key.t
-
-(** The pre-dictionary boxed key view ([Value.equal]/[Value.hash] over
-    [Value.t array]): kept for layers that work on decoded values
-    (statistics, naive oracles, the boxed-baseline bench). *)
-module Row_key_boxed : sig
-  type t = Value.t array
-
-  val equal : t -> t -> bool
-  val hash : t -> int
-  val has_null : t -> bool
-end
-
-(** Hash tables keyed by {!Row_key_boxed}. *)
-module Row_key_boxed_tbl : Hashtbl.S with type key = Row_key_boxed.t

@@ -1,13 +1,13 @@
 (* ANALYZE-collected table and column statistics.
 
    One pass over a table computes, per column: the exact distinct count
-   (NDV, via {!Expr.Row_key_boxed} hashing so Int/Float compare across types
-   and NULLs never inflate the count), min/max under the total order, the
-   null count, and an equi-depth histogram (bucket upper boundaries over
-   the sorted non-null values). The snapshot records the table version it
-   was collected at; consumers ({!Cost}, the [sys.column_stats] view)
-   treat a version mismatch as staleness — flagged, never silently
-   reused.
+   (NDV: the runs of equal values in the sorted non-null values, so
+   Int/Float compare across types and NULLs never inflate the count),
+   min/max under the total order, the null count, and an equi-depth
+   histogram (bucket upper boundaries over the same sorted values). The
+   snapshot records the table version it was collected at; consumers
+   ({!Cost}, the [sys.column_stats] view) treat a version mismatch as
+   staleness — flagged, never silently reused.
 
    Tables are in memory, so "statistics" here are exact at collection
    time; what ANALYZE buys over {!Table.distinct_estimate} is O(1) reads
@@ -34,20 +34,32 @@ type table_stats = {
 (* target number of histogram buckets; fewer when NDV is small *)
 let hist_target = 8
 
-let equi_depth (values : Value.t array) : Value.t array =
-  let len = Array.length values in
+(* [sorted] is ascending under [Value.compare_total] *)
+let equi_depth (sorted : Value.t array) : Value.t array =
+  let len = Array.length sorted in
   if len = 0 then [||]
   else begin
-    Array.sort Value.compare_total values;
     let b = min hist_target len in
-    Array.init b (fun k -> values.(((k + 1) * len / b) - 1))
+    Array.init b (fun k -> sorted.(((k + 1) * len / b) - 1))
   end
+
+(* [Value.equal] is [compare_total = 0], so equal values are adjacent in
+   [sorted]: NDV is the number of runs, each compared to its first value *)
+let distinct_runs (sorted : Value.t array) =
+  let n = ref 0 and head = ref Value.Null in
+  Array.iter
+    (fun v ->
+      if !n = 0 || Value.compare_total v !head <> 0 then begin
+        incr n;
+        head := v
+      end)
+    sorted;
+  !n
 
 (** [analyze t] is a statistics snapshot of [t]'s current contents. *)
 let analyze (t : Table.t) : table_stats =
   let schema = Table.schema t in
   let arity = Schema.arity schema in
-  let seen = Array.init arity (fun _ -> Expr.Row_key_boxed_tbl.create 64) in
   let nulls = Array.make arity 0 in
   let mins = Array.make arity Value.Null in
   let maxs = Array.make arity Value.Null in
@@ -60,7 +72,6 @@ let analyze (t : Table.t) : table_stats =
         let v = row.(i) in
         if Value.is_null v then nulls.(i) <- nulls.(i) + 1
         else begin
-          Expr.Row_key_boxed_tbl.replace seen.(i) [| v |] ();
           (match mins.(i) with
           | Value.Null -> mins.(i) <- v
           | m -> if Value.compare_total v m < 0 then mins.(i) <- v);
@@ -73,12 +84,14 @@ let analyze (t : Table.t) : table_stats =
     t;
   let cols =
     Array.init arity (fun i ->
+        let sorted = Array.of_list non_null.(i) in
+        Array.sort Value.compare_total sorted;
         { cs_name = (Schema.col schema i).Schema.col_name;
-          cs_ndv = max 1 (Expr.Row_key_boxed_tbl.length seen.(i));
+          cs_ndv = max 1 (distinct_runs sorted);
           cs_min = mins.(i);
           cs_max = maxs.(i);
           cs_nulls = nulls.(i);
-          cs_hist = equi_depth (Array.of_list non_null.(i)) })
+          cs_hist = equi_depth sorted })
   in
   { ts_table = Table.name t; ts_version = Table.version t;
     ts_collected_ns = Obs.Metrics.now_ns (); ts_rowcount = !rowcount; ts_cols = cols }

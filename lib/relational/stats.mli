@@ -1,10 +1,11 @@
 (** ANALYZE-collected table and column statistics.
 
-    One pass over a table computes per-column NDV (via {!Expr.Row_key_boxed}
-    hashing), min/max under the total order, null counts and equi-depth
-    histograms. The snapshot records the {!Table.version} it was
-    collected at; consumers treat a version mismatch as staleness —
-    flagged (see [sys.column_stats]), never silently reused. *)
+    One pass over a table computes per-column NDV (the runs of equal
+    values among the sorted non-null values), min/max under the total
+    order, null counts and equi-depth histograms. The snapshot records
+    the {!Table.version} it was collected at; consumers treat a version
+    mismatch as staleness — flagged (see [sys.column_stats]), never
+    silently reused. *)
 
 type col_stats = {
   cs_name : string;
